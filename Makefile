@@ -7,7 +7,7 @@ BENCHTIME ?= 300ms
 # trace-smoke output file (Chrome trace-event JSON; also the CI artifact).
 TRACE_OUT ?= trace-smoke.json
 
-.PHONY: build test race race-staged chaos scale-smoke bench bench-json vet trace-smoke serve-smoke
+.PHONY: build test race race-staged chaos scale-smoke bench bench-json bench-quick vet trace-smoke serve-smoke
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,13 @@ bench-json:
 	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) -baseline $(BENCH_BASELINE) \
 		-require-same-cpu -benchtime $(BENCHTIME) \
 		./internal/engine ./internal/scan ./internal/exchange ./internal/driver
+
+# bench-quick builds the repository benchmark (perfbench, a module of its
+# own) from this checkout and runs every workload at a fifth of the data;
+# it exits non-zero on any failed query or wrong result. It is also the
+# only build of the Session entry points' out-of-tree caller.
+bench-quick:
+	bash perfbench/run.sh --quick
 
 # serve-smoke boots the resident query service end to end in both modes
 # (goroutine workers in real time; DES virtual time with request batching),

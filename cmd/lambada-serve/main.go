@@ -152,7 +152,9 @@ func run(addr, mode string, sf float64, files int, seed int64, inflight, cache, 
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	// ReadHeaderTimeout bounds how long a client may take to send its
+	// request headers, so slow or idle connections cannot pin the server.
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	if !smoke {
 		fmt.Printf("resident query service on http://%s (POST /query, /invalidate; GET /session, /stats)\n", ln.Addr())
 		return hs.Serve(ln)

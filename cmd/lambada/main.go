@@ -188,18 +188,15 @@ func main() {
 			scfg.Pipelined = *pipe
 			scfg.MaxStageWait = *stgWait
 			scfg.ExchangeLevels = *xlevels
-			scfg.Exchange.Variant.WriteCombining = *xcomb
+			scfg.Exchange.WriteCombining = *xcomb
 			scfg.MaxAutoPartitions = *maxParts
 			out, rep, err = d.RunPlanStaged(plan, tf, scfg)
-		case len(aux) > 0:
+		default:
 			fmt.Printf("uploaded %d files (%s total)\n", len(refs), byteSize(dep.S3.TotalBytes("tpch")))
 			for name, chunk := range aux {
 				fmt.Printf("broadcasting %s (%d rows) with every worker payload\n", strings.ToUpper(name), chunk.NumRows())
 			}
-			out, rep, err = d.RunPlanBroadcast(plan, "lineitem", refs, aux)
-		default:
-			fmt.Printf("uploaded %d files (%s total)\n", len(refs), byteSize(dep.S3.TotalBytes("tpch")))
-			out, rep, err = d.RunPlan(plan, "lineitem", refs)
+			out, rep, err = d.RunPlan(plan, "lineitem", refs, aux)
 		}
 		if err != nil {
 			return err

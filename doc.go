@@ -329,7 +329,7 @@
 // no-op tracer, so the instrumented call sites cost nothing when tracing
 // is off. Spans form a tree:
 //
-//	query    one driver query (RunPlan/RunPlanStaged/RunPlanExchanged)
+//	query    one driver query (RunPlan/RunPlanStaged)
 //	stage    one stage of a staged execution
 //	invoke   one Lambda worker invocation (an attempt; tags carry worker,
 //	         cold, attempt, fault/timeout outcomes, rows and bytes moved)

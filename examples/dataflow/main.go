@@ -49,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, rep, err := d.RunPlan(plan, "lineitem", files)
+	out, rep, err := d.RunPlan(plan, "lineitem", files, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

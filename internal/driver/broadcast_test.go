@@ -38,7 +38,7 @@ func TestBroadcastJoinEndToEnd(t *testing.T) {
 	d, refs, data := localSetup(t, DefaultConfig(), 0.002, 8)
 	sup := tpch.Gen{SF: 0.002, Seed: 33}.Supplier()
 
-	out, rep, err := d.RunPlanBroadcast(nationRevenuePlan(), "lineitem", refs,
+	out, rep, err := d.RunPlan(nationRevenuePlan(), "lineitem", refs,
 		map[string]*columnar.Chunk{"supplier": sup})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestBroadcastJoinDESDeterministic(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			out, rep, err := d.RunPlanBroadcast(nationRevenuePlan(), "lineitem", refs,
+			out, rep, err := d.RunPlan(nationRevenuePlan(), "lineitem", refs,
 				map[string]*columnar.Chunk{"supplier": g.Supplier()})
 			if err != nil {
 				t.Error(err)
@@ -126,7 +126,11 @@ SELECT s_nationkey, SUM(l_extendedprice * (1 - l_discount)) AS revenue, COUNT(*)
 FROM lineitem INNER JOIN supplier ON lineitem.l_suppkey = supplier.s_suppkey
 GROUP BY s_nationkey
 ORDER BY s_nationkey`
-	out, rep, err := d.RunSQLBroadcast(joinSQL, "lineitem", refs,
+	plan, err := parseSQL(joinSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, rep, err := d.RunPlan(plan, "lineitem", refs,
 		map[string]*columnar.Chunk{"supplier": sup})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +168,7 @@ func TestBroadcastMissingTableFails(t *testing.T) {
 	d, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
 	// Plan references "supplier" but nothing is broadcast: caught at
 	// driver-side optimization before any invocation.
-	if _, _, err := d.RunPlan(nationRevenuePlan(), "lineitem", refs); err == nil {
+	if _, _, err := d.RunPlan(nationRevenuePlan(), "lineitem", refs, nil); err == nil {
 		t.Error("join against missing broadcast table accepted")
 	}
 }

@@ -140,8 +140,7 @@ func TestStagedChaosDeterministicByteIdentical(t *testing.T) {
 		}},
 		{"flat", func(cfg *Config, scfg *StageConfig) {
 			cfg.Speculate = DefaultSpeculateConfig()
-			scfg.Exchange.Variant.Levels = 1
-			scfg.Exchange.Variant.WriteCombining = false
+			scfg.Exchange.WriteCombining = false
 		}},
 		{"multilevel", func(cfg *Config, scfg *StageConfig) {
 			cfg.Speculate = DefaultSpeculateConfig()

@@ -5,7 +5,6 @@ import (
 
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
-	"lambada/internal/exchange"
 	"lambada/internal/lpq"
 	"lambada/internal/simclock"
 	"lambada/internal/tpch"
@@ -47,7 +46,7 @@ func runStagedCost(t *testing.T, liOpts, ordOpts lpq.WriterOptions, mutate func(
 		scfg := DefaultStageConfig()
 		scfg.Partitions = 2
 		scfg.BroadcastRowLimit = -1
-		scfg.Exchange.Variant = exchange.Variant{Levels: 1, WriteCombining: wc}
+		scfg.Exchange.WriteCombining = wc
 		out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		if err != nil {
 			t.Errorf("staged q12 failed: %v", err)

@@ -227,11 +227,6 @@ func DefaultConfig() Config {
 type Driver struct {
 	sess *Session
 	env  simenv.Env
-
-	// dep and cfg mirror the session's deployment and normalized config so
-	// existing tests that reach into driver internals keep compiling.
-	dep *Deployment
-	cfg Config
 }
 
 // retryScope bundles the retry machinery of one execution scope — the
@@ -246,15 +241,14 @@ type retryScope struct {
 
 // New returns a driver using env as its local clock.
 func New(dep *Deployment, env simenv.Env, cfg Config) *Driver {
-	s := NewSession(dep, cfg)
-	return &Driver{sess: s, env: env, dep: dep, cfg: s.cfg}
+	return &Driver{sess: NewSession(dep, cfg), env: env}
 }
 
 // Config returns the driver's configuration.
-func (d *Driver) Config() Config { return d.cfg }
+func (d *Driver) Config() Config { return d.sess.cfg }
 
 // Deployment returns the bound deployment.
-func (d *Driver) Deployment() *Deployment { return d.dep }
+func (d *Driver) Deployment() *Deployment { return d.sess.dep }
 
 // Session returns the resident session the driver fronts.
 func (d *Driver) Session() *Session { return d.sess }
@@ -273,9 +267,6 @@ type workerPayload struct {
 	Files       []scan.FileRef    `json:"files"`
 	ResultQueue string            `json:"resultQueue"`
 	Children    []json.RawMessage `json:"children,omitempty"`
-	// Exchange, when present, makes the worker shuffle its partial result
-	// through S3 by group key and finalize its partitions locally.
-	Exchange json.RawMessage `json:"exchange,omitempty"`
 	// StageID and StageSpec mark a stage fragment of a stage-decomposed
 	// plan (internal/stageplan): the worker collects its exchange inputs,
 	// executes the fragment, and either publishes its partitioned output
@@ -489,14 +480,7 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws *retryScope, p *workerP
 	// Every fragment — joins included — runs on the pipeline-graph
 	// scheduler; parallelism 1 (forced in DES deployments) executes the
 	// whole graph inline without spawning goroutines.
-	partial, err := engine.ExecuteParallel(plan, cat, engine.ParallelConfig{Pipelines: d.cfg.PipelineParallelism})
-	if err != nil {
-		return nil, err
-	}
-	if len(p.Exchange) == 0 {
-		return partial, nil
-	}
-	return d.runExchange(client, p, partial)
+	return engine.ExecuteParallel(plan, cat, engine.ParallelConfig{Pipelines: d.cfg.PipelineParallelism})
 }
 
 func (d *Session) postResult(env simenv.Env, ws *retryScope, p workerPayload, execErr error, chunk *columnar.Chunk, processing time.Duration, cold bool) error {

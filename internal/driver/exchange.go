@@ -1,24 +1,19 @@
 package driver
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
-
-	"lambada/internal/awssim/s3"
-	"lambada/internal/columnar"
-	"lambada/internal/engine"
-	"lambada/internal/exchange"
-	"lambada/internal/obs"
-	"lambada/internal/scan"
 )
 
-// ExchangeConfig enables the serverless exchange path for grouped
-// aggregations: worker partials are shuffled by group key through S3 so
-// every group is finalized on exactly one worker — the driver only
-// concatenates. Buckets must be pre-created at installation time (§4.4.1).
+// ExchangeConfig configures the S3 namespace of staged-query boundaries:
+// the shard buckets pre-created at installation time (§4.4.1), whether
+// senders write-combine their partitions, and receiver-side waiting. The
+// round count and shard-bucket subset of each boundary are resolved per
+// boundary by stageplan.ChooseVariant (see StageConfig.ExchangeLevels).
 type ExchangeConfig struct {
-	Variant exchange.Variant
+	// WriteCombining writes all partitions of a sender into one object
+	// whose part offsets are encoded in the name (§4.4.3).
+	WriteCombining bool
 	// Buckets is the shard-bucket count created at Install.
 	Buckets int
 	// Poll and MaxWait configure receiver-side waiting.
@@ -26,26 +21,14 @@ type ExchangeConfig struct {
 	MaxWait time.Duration
 }
 
-// DefaultExchangeConfig uses the two-level write-combining variant over
-// eight shard buckets.
+// DefaultExchangeConfig write-combines over eight shard buckets.
 func DefaultExchangeConfig() ExchangeConfig {
 	return ExchangeConfig{
-		Variant: exchange.Variant{Levels: 2, WriteCombining: true},
-		Buckets: 8,
-		Poll:    50 * time.Millisecond,
-		MaxWait: 10 * time.Minute,
+		WriteCombining: true,
+		Buckets:        8,
+		Poll:           50 * time.Millisecond,
+		MaxWait:        10 * time.Minute,
 	}
-}
-
-// exchangeSpec travels in the worker payload.
-type exchangeSpec struct {
-	Variant   exchange.Variant `json:"variant"`
-	Buckets   []string         `json:"buckets"`
-	Prefix    string           `json:"prefix"`
-	Key       string           `json:"key"`
-	FinalPlan json.RawMessage  `json:"finalPlan"`
-	PollNs    int64            `json:"pollNs"`
-	MaxWaitNs int64            `json:"maxWaitNs"`
 }
 
 // exchangeBucketName names the i-th shard bucket of an installation.
@@ -65,165 +48,3 @@ func (d *Session) InstallExchange(cfg ExchangeConfig) []string {
 
 // InstallExchange creates the shard buckets (free, done once, §4.4.1).
 func (d *Driver) InstallExchange(cfg ExchangeConfig) []string { return d.sess.InstallExchange(cfg) }
-
-// RunPlanExchanged executes a grouped aggregation with the exchange-merge
-// strategy: scan+partial aggregation per worker, serverless shuffle of the
-// partials by group key, local finalization, driver-side concatenation.
-func (d *Driver) RunPlanExchanged(plan engine.Plan, table string, files []scan.FileRef, xcfg ExchangeConfig) (*columnar.Chunk, *Report, error) {
-	return d.sess.RunPlanExchanged(d.env, plan, table, files, xcfg)
-}
-
-func (d *query) runPlanExchanged(plan engine.Plan, table string, files []scan.FileRef, xcfg ExchangeConfig) (*columnar.Chunk, *Report, error) {
-	if len(files) == 0 {
-		return nil, nil, fmt.Errorf("driver: no input files")
-	}
-	queryID := d.id
-	buckets := d.s.InstallExchange(xcfg)
-
-	costBefore := d.costSnapshot()
-	startTime := d.env.Now()
-
-	// Query span: see runPlan — binds driver-side traffic, closed with the
-	// cost window.
-	tr := d.dep.Trace
-	var qspan obs.SpanID
-	if tr.Enabled() {
-		qspan = tr.StartSpan(obs.KindQuery, queryID, 0, startTime)
-		tr.Bind(d.env, qspan)
-		defer func() { tr.Release(d.env, d.env.Now()) }()
-	}
-
-	driverClient := s3.NewClient(d.dep.S3, d.env)
-	metaSrc := scan.New(driverClient, d.cfg.Scan, files[0])
-	schema, err := metaSrc.Schema()
-	if err != nil {
-		return nil, nil, err
-	}
-	opt, err := engine.Optimize(plan, engine.Catalog{table: engine.NewMemSource(schema)})
-	if err != nil {
-		return nil, nil, err
-	}
-	xp, err := engine.SplitExchanged(opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	workerPlanJSON, err := engine.MarshalPlan(xp.Worker)
-	if err != nil {
-		return nil, nil, err
-	}
-	finalPlanJSON, err := engine.MarshalPlan(xp.WorkerFinal)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	workers := d.cfg.Workers
-	if workers <= 0 {
-		f := d.cfg.FilesPerWorker
-		workers = (len(files) + f - 1) / f
-	}
-	if workers > len(files) {
-		workers = len(files)
-	}
-	spec := exchangeSpec{
-		Variant:   xcfg.Variant,
-		Buckets:   buckets,
-		Prefix:    d.cfg.FunctionName + "/" + queryID,
-		Key:       xp.Key,
-		FinalPlan: finalPlanJSON,
-		PollNs:    int64(xcfg.Poll),
-		MaxWaitNs: int64(xcfg.MaxWait),
-	}
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	payloads := make([][]byte, workers)
-	per := (len(files) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > len(files) {
-			hi = len(files)
-		}
-		if lo > hi {
-			lo = hi
-		}
-		body, err := json.Marshal(workerPayload{
-			QueryID:     queryID,
-			WorkerID:    w,
-			NumWorkers:  workers,
-			Plan:        workerPlanJSON,
-			Table:       table,
-			Files:       files[lo:hi],
-			ResultQueue: d.cfg.ResultQueue,
-			Exchange:    specJSON,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		payloads[w] = body
-	}
-
-	invokeStart := d.env.Now()
-	if err := d.invokeAll(payloads, qspan); err != nil {
-		return nil, nil, err
-	}
-	invocation := d.env.Now() - invokeStart
-
-	finalSchema, err := xp.WorkerFinal.OutSchema()
-	if err != nil {
-		return nil, nil, err
-	}
-	chunks, processing, cold, err := d.collectResults(queryID, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	dcat := engine.Catalog{engine.WorkerResultTable: engine.NewMemSource(finalSchema, chunks...)}
-	result, err := engine.Execute(xp.Driver, dcat)
-	if err != nil {
-		return nil, nil, err
-	}
-	d.quiesce()
-	endTime := d.env.Now()
-	rep := &Report{
-		QueryID:          queryID,
-		Workers:          workers,
-		Duration:         endTime - startTime,
-		Invocation:       invocation,
-		WorkerProcessing: processing,
-		ColdWorkers:      cold,
-	}
-	if tr.Enabled() {
-		tr.EndSpan(qspan, endTime)
-		rep.Trace, rep.Span = tr, qspan
-	}
-	d.fillCostDelta(rep, costBefore)
-	return result, rep, nil
-}
-
-// runExchange is the worker-side shuffle+finalize step.
-func (d *Session) runExchange(client *s3.Client, p *workerPayload, partial *columnar.Chunk) (*columnar.Chunk, error) {
-	var spec exchangeSpec
-	if err := json.Unmarshal(p.Exchange, &spec); err != nil {
-		return nil, err
-	}
-	opts := exchange.Options{
-		Variant: spec.Variant,
-		Buckets: spec.Buckets,
-		Prefix:  spec.Prefix,
-		Poll:    time.Duration(spec.PollNs),
-		MaxWait: time.Duration(spec.MaxWaitNs),
-	}
-	wk := exchange.Worker{ID: p.WorkerID, P: p.NumWorkers, Client: client}
-	merged, err := wk.Run(opts, partial, spec.Key)
-	if err != nil {
-		return nil, err
-	}
-	finalPlan, err := engine.UnmarshalPlan(spec.FinalPlan)
-	if err != nil {
-		return nil, err
-	}
-	cat := engine.Catalog{engine.WorkerResultTable: engine.NewMemSource(merged.Schema, merged)}
-	return engine.Execute(finalPlan, cat)
-}

@@ -1,16 +1,21 @@
 package driver
 
 import (
+	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
+	"lambada/internal/awssim/lambdasvc"
 	"lambada/internal/awssim/pricing"
+	"lambada/internal/awssim/simenv"
 	"lambada/internal/engine"
 	"lambada/internal/exchange"
 	"lambada/internal/lpq"
 	"lambada/internal/simclock"
 	"lambada/internal/sqlfe"
+	"lambada/internal/stageplan"
 	"lambada/internal/tpch"
 )
 
@@ -22,6 +27,11 @@ FROM lineitem
 GROUP BY l_suppkey
 ORDER BY l_suppkey`
 
+// TestExchangedGroupByMatchesSingleNode: a high-cardinality GROUP BY run
+// through the stage planner's split aggregation really shuffles — partial
+// aggregates cross an S3 boundary of the forced round count — and matches
+// single-node execution, for single-round and write-combined multi-level
+// boundaries alike.
 func TestExchangedGroupByMatchesSingleNode(t *testing.T) {
 	for _, variant := range []exchange.Variant{
 		{Levels: 1, WriteCombining: false},
@@ -33,19 +43,13 @@ func TestExchangedGroupByMatchesSingleNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Single-node reference through the engine.
-		cat := engine.Catalog{"lineitem": engine.NewMemSource(tpch.Schema(), data)}
-		refPlan, err := sqlfe.Parse(groupBySuppkeySQL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := engine.Execute(refPlan, cat)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := singleNode(t, groupBySuppkeySQL, engine.Catalog{"lineitem": engine.NewMemSource(tpch.Schema(), data)})
 
-		xcfg := DefaultExchangeConfig()
-		xcfg.Variant = variant
-		got, rep, err := d.RunPlanExchanged(plan, "lineitem", refs, xcfg)
+		scfg := DefaultStageConfig()
+		scfg.Partitions = 4
+		scfg.ExchangeLevels = variant.Levels
+		scfg.Exchange.WriteCombining = variant.WriteCombining
+		got, rep, err := d.RunPlanStaged(plan, TableFiles{"lineitem": refs}, scfg)
 		if err != nil {
 			t.Fatalf("%v: %v", variant, err)
 		}
@@ -68,25 +72,28 @@ func TestExchangedGroupByMatchesSingleNode(t *testing.T) {
 				t.Errorf("%v: row %d avg = %v, want %v", variant, i, ga, wa)
 			}
 		}
-		if rep.Workers != 9 {
-			t.Errorf("%v: workers = %d", variant, rep.Workers)
+		// A scan+partial stage feeding a final-aggregation stage.
+		if rep.Stages != 2 {
+			t.Errorf("%v: stages = %d, want 2", variant, rep.Stages)
 		}
 		// The shuffle leaves request traces: write requests beyond the
 		// table upload must have happened.
 		if rep.CostDelta[pricing.LabelS3Write] <= 0 {
 			t.Errorf("%v: no exchange writes recorded", variant)
 		}
-	}
-}
-
-func TestExchangedRejectsGlobalAggregate(t *testing.T) {
-	d, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
-	plan, err := sqlfe.Parse("SELECT COUNT(*) AS n FROM lineitem")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := d.RunPlanExchanged(plan, "lineitem", refs, DefaultExchangeConfig()); err == nil {
-		t.Error("global aggregate accepted by exchange path")
+		boundaries := 0
+		for _, ss := range rep.StageStats {
+			if ss.Variant == "" {
+				continue
+			}
+			boundaries++
+			if ss.Variant != variant.String() {
+				t.Errorf("%v: stage %d (regroup %v) resolved boundary %q, want %q", variant, ss.StageID, ss.Regroup, ss.Variant, variant.String())
+			}
+		}
+		if boundaries == 0 {
+			t.Errorf("%v: no resolved boundary in stage stats %+v", variant, rep.StageStats)
+		}
 	}
 }
 
@@ -111,17 +118,17 @@ func TestExchangedGroupByDES(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			plan, err := sqlfe.Parse(`SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag`)
+			scfg := DefaultStageConfig()
+			scfg.Partitions = 3
+			scfg.Exchange.Poll = 100 * time.Millisecond
+			out, rep, err := d.RunSQLStaged(`SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag`,
+				TableFiles{"lineitem": refs}, scfg)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			xcfg := DefaultExchangeConfig()
-			xcfg.Poll = 100 * time.Millisecond
-			out, rep, err := d.RunPlanExchanged(plan, "lineitem", refs, xcfg)
-			if err != nil {
-				t.Error(err)
-				return
+			if rep.Stages != 2 {
+				t.Errorf("stages = %d, want 2", rep.Stages)
 			}
 			rows = out.NumRows()
 			dur = rep.Duration
@@ -154,37 +161,29 @@ func TestExchangedGroupByDES(t *testing.T) {
 	}
 }
 
-func TestSplitExchangedShape(t *testing.T) {
-	plan, err := sqlfe.Parse(groupBySuppkeySQL)
+// TestStageFragmentRejectsUnresolvedBoundary: the driver resolves every
+// boundary before it builds payloads, so a stage payload whose input or
+// output boundary still has Levels == 0 is refused by the worker instead
+// of being read or written with a guessed variant.
+func TestStageFragmentRejectsUnresolvedBoundary(t *testing.T) {
+	d, _, _ := localSetup(t, DefaultConfig(), 0.001, 1)
+	planJSON, err := engine.MarshalPlan(&engine.ScanPlan{Table: "in", TableSchema: tpch.Schema()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := engine.Catalog{"lineitem": engine.NewMemSource(tpch.Schema())}
-	opt, err := engine.Optimize(plan, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xp, err := engine.SplitExchanged(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if xp.Key != "l_suppkey" {
-		t.Errorf("key = %q", xp.Key)
-	}
-	ws, err := xp.Worker.OutSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws.Index(xp.Key) < 0 {
-		t.Error("partition key missing from partial schema")
-	}
-	fs, err := xp.WorkerFinal.OutSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"l_suppkey", "total", "n", "ad"} {
-		if fs.Index(name) < 0 {
-			t.Errorf("final schema missing %q (has %v)", name, fs)
+	for name, spec := range map[string]stageSpec{
+		"input":  {StageID: 1, Inputs: []stageInputSpec{{Input: stageplan.Input{StageID: 0, Table: "in"}, Senders: 1}}},
+		"output": {StageID: 0, Output: &stageplan.Output{Keys: []string{"l_orderkey"}, Partitions: 1}},
+	} {
+		specJSON, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := workerPayload{QueryID: "q1", NumWorkers: 1, Plan: planJSON, StageID: spec.StageID, StageSpec: specJSON, Epoch: 1}
+		ctx := &lambdasvc.Ctx{Env: simenv.NewImmediate(), MemoryMiB: 1792}
+		_, err = d.sess.executeFragment(ctx, d.sess.newRetryScope(1), &p)
+		if err == nil || !strings.Contains(err.Error(), "no resolved variant") {
+			t.Errorf("%s boundary with Levels 0: err = %v, want a no-resolved-variant refusal", name, err)
 		}
 	}
 }

@@ -185,34 +185,42 @@ func (d *query) fillCostDelta(rep *Report, before costSnap) {
 	}
 }
 
-// drainResults polls the result queue until n distinct workers of the query
-// have reported, discarding leftovers of earlier aborted queries (a query
-// failing mid-flight returns before its remaining workers post; their
-// messages must not poison the next query on the same driver) and — SQS
-// being at-least-once — duplicate deliveries of a worker's completion
-// message, which would otherwise under-collect the remaining workers.
-// Worker errors fail the query; every first-per-worker message is handed to
-// onMsg. The single-scope and exchanged collectors run through it; the
-// staged scheduler has its own event loop (stage.go) with the same queryID
-// discard plus per-(stage,worker) attempt dedup.
-func (d *query) drainResults(queryID string, n int, onMsg func(rm resultMsg) error) error {
+// drainResults collects one result per worker of a single-scope query from
+// its result queue (§3.3: "the driver polls until it has heard back from
+// all workers") and decodes their chunks in arrival order. It discards
+// leftovers of earlier aborted queries (a query failing mid-flight returns
+// before its remaining workers post; their messages must not poison the
+// next query on the same driver) and — SQS being at-least-once, and backup
+// pairs both answering — duplicate completions of a worker, which would
+// otherwise under-collect the remaining workers. Worker errors fail the
+// query.
+//
+// With Config.Speculate on, every received batch is followed by a straggler
+// step: once the shared policy arms, each missing worker's payload is
+// re-invoked as its next attempt (backup requests), the first result per
+// worker winning; span parents the backups' invocation spans. The staged
+// scheduler has its own event loop (stage.go) with the same queryID discard
+// plus per-(stage,worker) attempt dedup.
+func (d *query) drainResults(payloads [][]byte, launchAt time.Duration, span obs.SpanID) (chunks []*columnar.Chunk, processing []time.Duration, cold, speculated int, err error) {
+	n := len(payloads)
 	deadline := d.env.Now() + d.cfg.MaxWait
 	seen := make(map[int]bool, n)
-	for n > 0 {
+	pol := newStragglerPolicy(d.cfg.Speculate, n, launchAt)
+	for len(seen) < n {
 		var msgs []sqs.Message
 		if err := d.retry.policy.Do(d.env, "sqs.Receive", func() error {
 			var rerr error
 			msgs, rerr = d.dep.SQS.Receive(d.env, d.cfg.ResultQueue, 10)
 			return rerr
 		}); err != nil {
-			return fmt.Errorf("driver: collecting results: %w", err)
+			return nil, nil, 0, 0, fmt.Errorf("driver: collecting results: %w", err)
 		}
 		for _, m := range msgs {
 			var rm resultMsg
 			if err := json.Unmarshal(m.Body, &rm); err != nil {
-				return err
+				return nil, nil, 0, 0, err
 			}
-			if rm.QueryID != queryID || rm.Stage != 0 || rm.Epoch != 0 {
+			if rm.QueryID != d.id || rm.Stage != 0 || rm.Epoch != 0 {
 				// Leftover of an earlier aborted query — including a zombie
 				// worker of an aborted STAGED run whose query numbering
 				// collides with this single-scope query's: its message
@@ -223,55 +231,51 @@ func (d *query) drainResults(queryID string, n int, onMsg func(rm resultMsg) err
 				continue
 			}
 			if seen[rm.WorkerID] {
-				continue // duplicate delivery of an already-counted worker
+				continue // duplicate delivery, or the losing half of a backup pair
 			}
 			if rm.Err != "" {
-				return fmt.Errorf("driver: worker %d failed: %s", rm.WorkerID, rm.Err)
+				return nil, nil, 0, 0, fmt.Errorf("driver: worker %d failed: %s", rm.WorkerID, rm.Err)
 			}
 			seen[rm.WorkerID] = true
 			d.workerRetries += rm.Retries
-			if err := onMsg(rm); err != nil {
-				return err
+			pol.record(d.env.Now())
+			if rm.Cold {
+				cold++
 			}
-			n--
+			processing = append(processing, time.Duration(rm.ProcessingNs))
+			if len(rm.Chunk) > 0 {
+				c, err := decodeChunk(rm.Chunk)
+				if err != nil {
+					return nil, nil, 0, 0, err
+				}
+				chunks = append(chunks, c)
+			}
 		}
-		if n == 0 {
-			return nil
+		if len(seen) == n {
+			break
+		}
+		for _, w := range pol.stragglers(d.env.Now(), func(w int) bool { return seen[w] }, 0) {
+			speculated++
+			body, err := reattempt(payloads[w], pol.attempts[w])
+			if err != nil {
+				return nil, nil, 0, 0, err
+			}
+			if err := d.invokeOne(body, w, span); err != nil {
+				return nil, nil, 0, 0, fmt.Errorf("driver: backup invocation of worker %d: %w", w, err)
+			}
 		}
 		if d.env.Now() >= deadline {
-			return fmt.Errorf("driver: %d results missing after %v", n, d.cfg.MaxWait)
+			return nil, nil, 0, 0, fmt.Errorf("driver: %d results missing after %v", n-len(seen), d.cfg.MaxWait)
 		}
 		if len(msgs) == 0 {
 			// Park on the result queue's completion topic — wake at the next
-			// message's exact arrival instant, timed poll fallback; sends to
-			// other queues (or other substrate writes) leave us parked.
+			// message's exact arrival instant, timed poll fallback (which
+			// also paces the straggler step); sends to other queues (or
+			// other substrate writes) leave us parked.
 			simenv.WaitNotifyKey(d.env, "sqs/"+d.cfg.ResultQueue, d.cfg.PollInterval)
 		}
 	}
-	return nil
-}
-
-// collectResults drains n results and decodes their chunks in arrival
-// order.
-func (d *query) collectResults(queryID string, n int) (chunks []*columnar.Chunk, processing []time.Duration, cold int, err error) {
-	err = d.drainResults(queryID, n, func(rm resultMsg) error {
-		if rm.Cold {
-			cold++
-		}
-		processing = append(processing, time.Duration(rm.ProcessingNs))
-		if len(rm.Chunk) > 0 {
-			c, err := decodeChunk(rm.Chunk)
-			if err != nil {
-				return err
-			}
-			chunks = append(chunks, c)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return chunks, processing, cold, nil
+	return chunks, processing, cold, speculated, nil
 }
 
 // decodeChunk reads a result message's lpq blob.
@@ -292,28 +296,11 @@ func (d *Driver) RunSQL(sql string, table string, files []scan.FileRef) (*column
 	return d.sess.RunSQL(d.env, sql, table, files)
 }
 
-// RunSQLBroadcast runs a SQL query whose INNER JOINs reference small
-// driver-side tables: `table` is the big S3-backed probe side, and every
-// other table in the query must appear in broadcast, shipped inside the
-// worker payloads (§3.2's "reading small amounts of data locally that
-// should be broadcasted into the serverless workers").
-func (d *Driver) RunSQLBroadcast(sql string, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
-	return d.sess.RunSQLBroadcast(d.env, sql, table, files, broadcast)
-}
-
-// RunPlan optimizes and executes a logical plan on the serverless fleet:
-// the scan/filter/partial-aggregate scope runs in the workers; the final
-// merge scope runs on the driver (§3.2).
-func (d *Driver) RunPlan(plan engine.Plan, table string, files []scan.FileRef) (*columnar.Chunk, *Report, error) {
-	return d.sess.RunPlan(d.env, plan, table, files)
-}
-
-// RunPlanBroadcast runs a plan whose joins reference small driver-side
-// tables: the driver ships them inside the worker payloads (§3.2's
-// "reading small amounts of data locally that should be broadcasted into
-// the serverless workers").
-func (d *Driver) RunPlanBroadcast(plan engine.Plan, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
-	return d.sess.RunPlanBroadcast(d.env, plan, table, files, broadcast)
+// RunPlan optimizes and executes a logical plan on the serverless fleet,
+// shipping the broadcast tables (nil for none) to every worker; see
+// Session.RunPlan.
+func (d *Driver) RunPlan(plan engine.Plan, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
+	return d.sess.RunPlan(d.env, plan, table, files, broadcast)
 }
 
 func (d *query) runPlan(plan engine.Plan, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
@@ -414,24 +401,11 @@ func (d *query) runPlan(plan engine.Plan, table string, files []scan.FileRef, br
 	}
 	invocation := d.env.Now() - invokeStart
 
-	// Collect results from the SQS queue (§3.3: "the driver polls until it
-	// has heard back from all workers"), with optional straggler
+	// Collect results from the SQS queue, with optional straggler
 	// speculation (backup requests).
-	var chunks []*columnar.Chunk
-	var processing []time.Duration
-	var cold, speculated int
-	if d.cfg.Speculate.Enabled {
-		var err error
-		chunks, processing, cold, speculated, err = d.collectWithSpeculation(queryID, payloads, invokeStart, d.cfg.Speculate, qspan)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		var err error
-		chunks, processing, cold, err = d.collectResults(queryID, workers)
-		if err != nil {
-			return nil, nil, err
-		}
+	chunks, processing, cold, speculated, err := d.drainResults(payloads, invokeStart, qspan)
+	if err != nil {
+		return nil, nil, err
 	}
 	sort.Slice(processing, func(i, j int) bool { return processing[i] < processing[j] })
 
@@ -500,12 +474,13 @@ func (d *query) invokeAll(payloads [][]byte, span obs.SpanID) error {
 	adm := d.s.admission
 	if !invoke.UseTree(d.cfg.TreeInvoke, len(payloads)) {
 		pacing := invoke.DriverPacing(d.cfg.Region, d.cfg.InvokeThreads)
-		// Whole-fleet admission: single-scope fleets interdepend (an
-		// exchanged fleet shuffles all-to-all through S3), so launching a
-		// partial fleet could park token-holding workers behind peers that
-		// cannot launch. Acquire every token up front instead — one blocking
-		// call the workers of other queries unblock as they settle. Nil
-		// admission (MaxInFlight 0) keeps the legacy per-query pacing.
+		// Whole-fleet admission: acquire every token up front — one
+		// blocking call the workers of other queries unblock as they
+		// settle. Single-scope workers never wait on each other, so no
+		// reason remains to take the whole fleet at once on this direct
+		// path (the tree path below still needs it: children launch
+		// worker-side, past the driver); the behaviour is kept as it was.
+		// Nil admission (MaxInFlight 0) keeps the legacy per-query pacing.
 		adm.Acquire(d.env, len(payloads))
 		spawned := 0
 		for i, p := range payloads {

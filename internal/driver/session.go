@@ -355,38 +355,25 @@ func (d *Session) CacheStats() (hits, misses uint64) { return d.cache.stats() }
 // Each call opens a per-query scheduler on the caller's environment, runs
 // it, and tears its queue down; N callers may run concurrently.
 
-// RunSQL parses and runs a SQL query over one table.
+// RunSQL parses and runs a single-scope SQL query over one table.
 func (d *Session) RunSQL(env simenv.Env, sql, table string, files []scan.FileRef) (*columnar.Chunk, *Report, error) {
-	return d.RunSQLBroadcast(env, sql, table, files, nil)
-}
-
-// RunSQLBroadcast is RunSQL with extra driver-side broadcast tables.
-func (d *Session) RunSQLBroadcast(env simenv.Env, sql, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
 	plan, err := parseSQL(sql)
 	if err != nil {
 		return nil, nil, err
 	}
-	return d.RunPlanBroadcast(env, plan, table, files, broadcast)
+	return d.RunPlan(env, plan, table, files, nil)
 }
 
-// RunPlan runs an engine plan over one table.
-func (d *Session) RunPlan(env simenv.Env, plan engine.Plan, table string, files []scan.FileRef) (*columnar.Chunk, *Report, error) {
-	return d.RunPlanBroadcast(env, plan, table, files, nil)
-}
-
-// RunPlanBroadcast runs an engine plan with broadcast tables.
-func (d *Session) RunPlanBroadcast(env simenv.Env, plan engine.Plan, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
+// RunPlan runs an engine plan over one table as a single-scope query: the
+// scan/filter/partial-aggregate scope runs in the workers, the final merge
+// scope on the driver (§3.2). Joins may reference small driver-side tables
+// in broadcast (nil for none), shipped inside the worker payloads (§3.2's
+// "reading small amounts of data locally that should be broadcasted into
+// the serverless workers").
+func (d *Session) RunPlan(env simenv.Env, plan engine.Plan, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
 	q := d.newQuery(env)
 	defer q.close()
 	return q.runPlan(plan, table, files, broadcast)
-}
-
-// RunPlanExchanged runs a distributed plan whose workers shuffle through
-// the S3 exchange.
-func (d *Session) RunPlanExchanged(env simenv.Env, plan engine.Plan, table string, files []scan.FileRef, xcfg ExchangeConfig) (*columnar.Chunk, *Report, error) {
-	q := d.newQuery(env)
-	defer q.close()
-	return q.runPlanExchanged(plan, table, files, xcfg)
 }
 
 // RunSQLStaged parses and runs a SQL query as a staged distributed plan.

@@ -296,12 +296,12 @@ func TestPerQueryQueueTeardown(t *testing.T) {
 	if _, _, err := d.RunSQLStaged(q12ExactSQL, tables, cfg); err != nil {
 		t.Fatal(err)
 	}
-	q1 := queryQueueName(d.cfg.ResultQueue, "q1")
-	if err := d.dep.SQS.Send(d.env, q1, []byte("{}")); !errors.Is(err, sqs.ErrNoSuchQueue) {
+	q1 := queryQueueName(d.sess.cfg.ResultQueue, "q1")
+	if err := d.sess.dep.SQS.Send(d.env, q1, []byte("{}")); !errors.Is(err, sqs.ErrNoSuchQueue) {
 		t.Errorf("zombie post to %s after teardown: err = %v, want ErrNoSuchQueue", q1, err)
 	}
 	// The base queue survives — it seeds the next query's derived name.
-	if err := d.dep.SQS.Send(d.env, d.cfg.ResultQueue, []byte("{}")); err != nil {
+	if err := d.sess.dep.SQS.Send(d.env, d.sess.cfg.ResultQueue, []byte("{}")); err != nil {
 		t.Errorf("base queue gone after query teardown: %v", err)
 	}
 }

@@ -1,17 +1,9 @@
 package driver
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"sort"
 	"time"
-
-	"lambada/internal/awssim/simenv"
-	"lambada/internal/awssim/sqs"
-	"lambada/internal/columnar"
-	"lambada/internal/lpq"
-	"lambada/internal/obs"
 )
 
 // SpeculateConfig enables driver-side straggler mitigation: once a quorum
@@ -165,86 +157,4 @@ func reattempt(payload []byte, attempt int) ([]byte, error) {
 	}
 	p.Attempt = attempt
 	return json.Marshal(p)
-}
-
-// collectWithSpeculation gathers one result per worker of a single-scope
-// query, re-invoking stragglers per the shared policy. It returns the first
-// result chunk per worker plus bookkeeping for the report. span parents the
-// backup invocations' trace spans (the query span; 0 when tracing is off).
-func (d *query) collectWithSpeculation(queryID string, payloads [][]byte, launchAt time.Duration, spec SpeculateConfig, span obs.SpanID) ([]*columnar.Chunk, []time.Duration, int, int, error) {
-	workers := len(payloads)
-	got := make(map[int]bool, workers)
-	pol := newStragglerPolicy(spec, workers, launchAt)
-	var chunks []*columnar.Chunk
-	var processing []time.Duration
-	cold := 0
-	speculated := 0
-
-	for len(got) < workers {
-		var msgs []sqs.Message
-		if err := d.retry.policy.Do(d.env, "sqs.Receive", func() error {
-			var rerr error
-			msgs, rerr = d.dep.SQS.Receive(d.env, d.cfg.ResultQueue, 10)
-			return rerr
-		}); err != nil {
-			return nil, nil, 0, 0, err
-		}
-		for _, m := range msgs {
-			var rm resultMsg
-			if err := json.Unmarshal(m.Body, &rm); err != nil {
-				return nil, nil, 0, 0, err
-			}
-			if rm.QueryID != queryID || rm.Stage != 0 || rm.Epoch != 0 || got[rm.WorkerID] {
-				// Stale query (staged-run zombies carry a stage/epoch that
-				// single-scope workers never post) or the duplicate half of
-				// a backup pair.
-				continue
-			}
-			if rm.Err != "" {
-				return nil, nil, 0, 0, fmt.Errorf("driver: worker %d failed: %s", rm.WorkerID, rm.Err)
-			}
-			got[rm.WorkerID] = true
-			d.workerRetries += rm.Retries
-			if rm.Cold {
-				cold++
-			}
-			processing = append(processing, time.Duration(rm.ProcessingNs))
-			pol.record(d.env.Now())
-			if len(rm.Chunk) > 0 {
-				r, err := lpq.OpenReader(bytes.NewReader(rm.Chunk), int64(len(rm.Chunk)))
-				if err != nil {
-					return nil, nil, 0, 0, err
-				}
-				c, err := r.ReadAll()
-				if err != nil {
-					return nil, nil, 0, 0, err
-				}
-				chunks = append(chunks, c)
-			}
-		}
-		if len(got) >= workers {
-			break
-		}
-
-		// Speculation: quorum reached and the stragglers are past the
-		// deadline — re-invoke their payloads as the next attempt.
-		for _, w := range pol.stragglers(d.env.Now(), func(w int) bool { return got[w] }, 0) {
-			speculated++
-			body, err := reattempt(payloads[w], pol.attempts[w])
-			if err != nil {
-				return nil, nil, 0, 0, err
-			}
-			if err := d.invokeOne(body, w, span); err != nil {
-				return nil, nil, 0, 0, fmt.Errorf("driver: backup invocation of worker %d: %w", w, err)
-			}
-		}
-		if d.env.Now()-launchAt > d.cfg.MaxWait {
-			return nil, nil, 0, 0, fmt.Errorf("driver: timed out with %d/%d workers", len(got), workers)
-		}
-		// Park on the result queue's completion topic — wake at the next
-		// result's exact arrival instant, timed poll fallback (the timed
-		// wake also paces the straggler checks above).
-		simenv.WaitNotifyKey(d.env, "sqs/"+d.cfg.ResultQueue, d.cfg.PollInterval)
-	}
-	return chunks, processing, cold, speculated, nil
 }

@@ -30,8 +30,8 @@ import (
 // stage scheduler with seal/ready barriers and attempt-versioned
 // boundaries.
 type StageConfig struct {
-	// Exchange configures the S3 boundary namespace (buckets, variant,
-	// receiver polling).
+	// Exchange configures the S3 boundary namespace (buckets, write
+	// combining, receiver polling).
 	Exchange ExchangeConfig
 	// Partitions is the fan-in of every boundary — join stages and final
 	// aggregation stages run this many workers. 0 autotunes the fan-in from
@@ -62,8 +62,8 @@ type StageConfig struct {
 	// regrouping round, §4.4.2). 0 — the default — resolves each boundary
 	// from the analytic request model (stageplan.ChooseVariant) once the
 	// sender fleet size is known: large fleets go multi-level automatically,
-	// small ones stay single-round. Write combining is inherited from
-	// Exchange.Variant.WriteCombining either way.
+	// small ones stay single-round. Write combining comes from
+	// Exchange.WriteCombining either way.
 	ExchangeLevels int
 	// MaxAutoPartitions caps the autotuned boundary fan-in
 	// (0 = stageplan.MaxAutoPartitions). Paper-scale fleets raise it: with
@@ -89,15 +89,10 @@ type stageSpec struct {
 	Inputs  []stageInputSpec  `json:"inputs,omitempty"`
 	Output  *stageplan.Output `json:"output,omitempty"`
 
-	// Variant is the fallback boundary algorithm, used only when an input or
-	// the output carries no resolved variant of its own (the driver resolves
-	// every boundary before payload build, so in practice it is the
-	// single-round base the resolution started from).
-	Variant   exchange.Variant `json:"variant"`
-	Buckets   []string         `json:"buckets"`
-	Prefix    string           `json:"prefix"`
-	PollNs    int64            `json:"pollNs"`
-	MaxWaitNs int64            `json:"maxWaitNs"`
+	Buckets   []string `json:"buckets"`
+	Prefix    string   `json:"prefix"`
+	PollNs    int64    `json:"pollNs"`
+	MaxWaitNs int64    `json:"maxWaitNs"`
 	// SealTable is the DynamoDB table holding per-stage ready markers;
 	// QueryID and Epoch scope the marker keys (an older epoch's markers can
 	// never satisfy this epoch's barrier).
@@ -519,7 +514,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		if st.Output.Variant.Levels == 0 {
 			st.Output.Variant = stageplan.ChooseVariant(
 				workers[st.ID], st.Output.Partitions, len(buckets),
-				cfg.Exchange.Variant, cfg.ExchangeLevels)
+				cfg.Exchange.WriteCombining, cfg.ExchangeLevels)
 		}
 	}
 
@@ -997,7 +992,6 @@ func (d *query) stagePayloads(queryID string, epoch int, st *stageplan.Stage, sp
 	}
 	spec := stageSpec{
 		StageID:   st.ID,
-		Variant:   exchange.Variant{Levels: 1, WriteCombining: cfg.Exchange.Variant.WriteCombining},
 		Buckets:   buckets,
 		Prefix:    fmt.Sprintf("%s/%s/e%d", d.cfg.FunctionName, queryID, epoch),
 		PollNs:    int64(cfg.Exchange.Poll),
@@ -1114,8 +1108,18 @@ func (d *Session) runStageFragment(ctx *lambdasvc.Ctx, ws *retryScope, client *s
 	if err := json.Unmarshal(p.StageSpec, &spec); err != nil {
 		return nil, err
 	}
+	// The driver resolves every boundary before it builds payloads, so an
+	// unresolved one is a driver bug: refuse it rather than guess a variant
+	// the other side of the boundary may not share.
+	for _, in := range spec.Inputs {
+		if in.Variant.Levels == 0 {
+			return nil, fmt.Errorf("stage %d: input boundary of stage %d has no resolved variant", spec.StageID, in.StageID)
+		}
+	}
+	if spec.Output != nil && spec.Output.Variant.Levels == 0 {
+		return nil, fmt.Errorf("stage %d: output boundary has no resolved variant", spec.StageID)
+	}
 	opts := exchange.Options{
-		Variant: spec.Variant,
 		Buckets: spec.Buckets,
 		Prefix:  spec.Prefix,
 		Poll:    time.Duration(spec.PollNs),
@@ -1145,9 +1149,7 @@ func (d *Session) runStageFragment(ctx *lambdasvc.Ctx, ws *retryScope, client *s
 			return nil, err
 		}
 		copts := opts
-		if in.Variant.Levels > 0 {
-			copts.Variant = in.Variant
-		}
+		copts.Variant = in.Variant
 		if rem := sealDeadline - ctx.Env.Now(); rem < copts.MaxWait {
 			if rem < 0 {
 				rem = 0
@@ -1193,9 +1195,7 @@ func (d *Session) runStageFragment(ctx *lambdasvc.Ctx, ws *retryScope, client *s
 	}
 	wrote := client.BytesWritten()
 	popts := opts
-	if spec.Output.Variant.Levels > 0 {
-		popts.Variant = spec.Output.Variant
-	}
+	popts.Variant = spec.Output.Variant
 	err = exchange.PublishStage(client, popts, exchange.Boundary{
 		Stage:      spec.StageID,
 		Attempt:    p.Attempt,

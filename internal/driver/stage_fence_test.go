@@ -90,7 +90,7 @@ func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *R
 		// abort happens first and its error seals are purged before the
 		// retry launches.
 		scfg.Exchange.MaxWait = 20 * time.Second
-		scfg.Exchange.Variant = exchange.Variant{Levels: 1, WriteCombining: wc}
+		scfg.Exchange.WriteCombining = wc
 		scfg.ExchangeLevels = levels
 
 		d1Start := p.Now()
@@ -256,7 +256,7 @@ func TestStagedAllStragglersRecovered(t *testing.T) {
 		scfg.Partitions = 2
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Poll = 100 * time.Millisecond
-		scfg.Exchange.Variant = exchange.Variant{Levels: 1}
+		scfg.Exchange.WriteCombining = false
 		scfg.MaxStageWait = 20 * time.Second
 		out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		if err != nil {
@@ -371,7 +371,7 @@ func TestStageFragmentSingleSealDeadline(t *testing.T) {
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Poll = 100 * time.Millisecond
 		scfg.Exchange.MaxWait = sealWait
-		scfg.Exchange.Variant = exchange.Variant{Levels: 1}
+		scfg.Exchange.WriteCombining = false
 		start := p.Now()
 		_, _, runErr = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		elapsed = p.Now() - start
@@ -521,7 +521,7 @@ func TestStagedSubQuorumStallRecovered(t *testing.T) {
 		scfg.Partitions = 2
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Poll = 100 * time.Millisecond
-		scfg.Exchange.Variant = exchange.Variant{Levels: 1}
+		scfg.Exchange.WriteCombining = false
 		scfg.MaxStageWait = 20 * time.Second
 		out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		if err != nil {

@@ -25,7 +25,7 @@ func TestStagedMultiLevelByteIdentity(t *testing.T) {
 		cfg := DefaultStageConfig()
 		cfg.Partitions = 5
 		cfg.BroadcastRowLimit = -1
-		cfg.Exchange.Variant.WriteCombining = wc
+		cfg.Exchange.WriteCombining = wc
 		cfg.ExchangeLevels = 2
 
 		got, rep, err := d.RunSQLStaged(q12ExactSQL, tables, cfg)
@@ -163,7 +163,7 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 		if ss.Regroup || ss.Variant == "" {
 			continue
 		}
-		v := stageplan.ChooseVariant(ss.Workers, parts, len(buckets), scfg.Exchange.Variant, 0)
+		v := stageplan.ChooseVariant(ss.Workers, parts, len(buckets), scfg.Exchange.WriteCombining, 0)
 		if ss.Variant != v.String() {
 			t.Errorf("stage %d (S=%d) ran variant %q, want model choice %q", ss.StageID, ss.Workers, ss.Variant, v.String())
 		}

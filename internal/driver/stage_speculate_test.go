@@ -60,7 +60,7 @@ func runStagedWithStraggler(t *testing.T, wc bool, levels int, stall time.Durati
 		scfg.Partitions = 2
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Poll = 100 * time.Millisecond
-		scfg.Exchange.Variant = exchange.Variant{Levels: 1, WriteCombining: wc}
+		scfg.Exchange.WriteCombining = wc
 		scfg.ExchangeLevels = levels
 		first, rep, err = d.RunSQLStaged(q12ExactSQL, tables, scfg)
 		if err != nil {
@@ -168,14 +168,14 @@ func TestStagedStaleArtifactsDoNotPoisonRetry(t *testing.T) {
 	scfg := DefaultStageConfig()
 	scfg.Partitions = 2
 	scfg.BroadcastRowLimit = -1
-	scfg.Exchange.Variant = exchange.Variant{Levels: 1}
+	scfg.Exchange.WriteCombining = false
 
 	// Manufacture the aborted run's debris. Boundary garbage: a committed
 	// attempt of stage-0 sender 0 under the q1 prefix whose rows would skew
 	// every aggregate if collected.
 	buckets := d1.InstallExchange(scfg.Exchange)
 	opts := exchange.Options{
-		Variant: scfg.Exchange.Variant,
+		Variant: exchange.Variant{Levels: 1},
 		Buckets: buckets,
 		Prefix:  cfg.FunctionName + "/q1",
 		Poll:    time.Millisecond,
@@ -238,8 +238,8 @@ func TestStagedSweepClearsBoundaries(t *testing.T) {
 	if _, _, err := d.RunSQLStaged(q12ExactSQL, tables, cfg); err != nil {
 		t.Fatal(err)
 	}
-	client := s3.NewClient(d.dep.S3, d.env)
-	prefix := d.cfg.FunctionName + "/q1"
+	client := s3.NewClient(d.sess.dep.S3, d.env)
+	prefix := d.sess.cfg.FunctionName + "/q1"
 	for _, b := range d.InstallExchange(cfg.Exchange) {
 		entries, err := client.List(b, prefix)
 		if err != nil {

@@ -11,7 +11,6 @@ import (
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
-	"lambada/internal/exchange"
 	"lambada/internal/lpq"
 	"lambada/internal/simclock"
 	"lambada/internal/sqlfe"
@@ -124,7 +123,7 @@ func TestShuffleJoinByteIdenticalAcrossConfigs(t *testing.T) {
 		cfg := DefaultStageConfig()
 		cfg.Partitions = tc.parts
 		cfg.BroadcastRowLimit = -1 // force shuffle on every join
-		cfg.Exchange.Variant = exchange.Variant{Levels: 1, WriteCombining: tc.wc}
+		cfg.Exchange.WriteCombining = tc.wc
 
 		got, rep, err := d.RunSQLStaged(q12ExactSQL, tables, cfg)
 		if err != nil {
@@ -199,8 +198,12 @@ func TestStagedQ12MatchesBroadcastAndReference(t *testing.T) {
 		t.Errorf("shuffle stages = %d", rep.Stages)
 	}
 
-	// Broadcast: the same SQL through the legacy driver-broadcast path.
-	bcast, _, err := d.RunSQLBroadcast(q12RevenueSQL, "lineitem", tables["lineitem"],
+	// Broadcast: the same SQL through the single-scope driver-broadcast path.
+	plan, err := parseSQL(q12RevenueSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcast, _, err := d.RunPlan(plan, "lineitem", tables["lineitem"],
 		map[string]*columnar.Chunk{"orders": orders})
 	if err != nil {
 		t.Fatal(err)
@@ -510,13 +513,13 @@ func TestStagedDrainsStaleResults(t *testing.T) {
 	// (q1 on this fresh session) will actually poll: a restarted driver
 	// reusing the counter inherits any queue a crashed predecessor left
 	// behind under the same name.
-	q1Queue := queryQueueName(d.cfg.ResultQueue, "q1")
-	d.dep.SQS.CreateQueue(q1Queue)
+	q1Queue := queryQueueName(d.sess.cfg.ResultQueue, "q1")
+	d.sess.dep.SQS.CreateQueue(q1Queue)
 	stale, err := json.Marshal(resultMsg{QueryID: "q999", WorkerID: 3, Stage: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.dep.SQS.Send(d.env, q1Queue, stale); err != nil {
+	if err := d.sess.dep.SQS.Send(d.env, q1Queue, stale); err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultStageConfig()

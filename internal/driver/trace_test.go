@@ -57,8 +57,7 @@ func runTracedQ12(t *testing.T, o tracedOpts) tracedRun {
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Poll = 100 * time.Millisecond
 		if o.flat {
-			scfg.Exchange.Variant.Levels = 1
-			scfg.Exchange.Variant.WriteCombining = false
+			scfg.Exchange.WriteCombining = false
 		}
 		d := New(dep, p, cfg)
 		if err := d.Install(); err != nil {

@@ -14,6 +14,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -215,8 +216,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	sql := req.SQL
@@ -289,6 +289,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// maxBodyBytes caps the size of a POST request body; larger bodies are
+// refused with 413.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes. On failure it writes the error response itself — 413 for an
+// oversize body, 400 otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, "bad request body: "+err.Error(), status)
+	return false
+}
+
 // InvalidateRequest is the POST /invalidate body; an empty table drops the
 // whole cache.
 type InvalidateRequest struct {
@@ -301,8 +322,7 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InvalidateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Table == "" {
@@ -366,21 +386,47 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // substituteParams replaces every :name placeholder with its value —
-// numbers raw, everything else as an escaped SQL string literal. Unknown
-// placeholders are an error so typos fail loudly instead of reaching the
-// parser.
+// numbers raw, everything else as an escaped SQL string literal. It makes
+// one left-to-right pass over the template: each ':' followed by an
+// identifier reads the longest identifier as the name and looks it up
+// exactly, so prefix-colliding names (:d, :date) cannot clash, and a
+// substituted value is never rescanned for placeholders of its own.
+// Placeholders inside string literals are substituted too (a template may
+// write INTERVAL ':delta' DAY). A placeholder without a param, and a param
+// without a placeholder, are errors, so typos fail loudly instead of
+// reaching the parser.
 func substituteParams(sql string, params map[string]string) (string, error) {
-	for name, val := range params {
-		placeholder := ":" + name
-		if !strings.Contains(sql, placeholder) {
-			return "", fmt.Errorf("param %q has no :%s placeholder in the query", name, name)
+	var b strings.Builder
+	used := make(map[string]bool, len(params))
+	for i := 0; i < len(sql); i++ {
+		if sql[i] != ':' || i+1 >= len(sql) || !isIdentStart(sql[i+1]) {
+			b.WriteByte(sql[i])
+			continue
 		}
-		sql = strings.ReplaceAll(sql, placeholder, sqlLiteral(val))
+		j := i + 2
+		for j < len(sql) && (isIdentStart(sql[j]) || (sql[j] >= '0' && sql[j] <= '9')) {
+			j++
+		}
+		name := sql[i+1 : j]
+		val, ok := params[name]
+		if !ok {
+			return "", fmt.Errorf("unbound parameter :%s", name)
+		}
+		used[name] = true
+		b.WriteString(sqlLiteral(val))
+		i = j - 1
 	}
-	if i := strings.IndexByte(sql, ':'); i >= 0 && i+1 < len(sql) && isIdentStart(sql[i+1]) {
-		return "", fmt.Errorf("unbound parameter at %q", sql[i:min(i+12, len(sql))])
+	names := make([]string, 0, len(params))
+	for name := range params {
+		if !used[name] {
+			names = append(names, name)
+		}
 	}
-	return sql, nil
+	if len(names) > 0 {
+		sort.Strings(names)
+		return "", fmt.Errorf("param %q has no :%s placeholder in the query", names[0], names[0])
+	}
+	return b.String(), nil
 }
 
 func isIdentStart(c byte) bool {

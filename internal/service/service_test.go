@@ -268,3 +268,66 @@ func TestServeDESConcurrent(t *testing.T) {
 		t.Error("missing query ID")
 	}
 }
+
+// TestSubstituteParams: substitution is one left-to-right pass with exact
+// name lookup — prefix-colliding names cannot clash, values are never
+// rescanned, and template literals still take placeholders.
+func TestSubstituteParams(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		sql     string
+		params  map[string]string
+		want    string
+		wantErr string
+	}{
+		{name: "prefix collision", sql: "WHERE a = :d AND b = DATE :date",
+			params: map[string]string{"d": "7", "date": "1994-01-01"},
+			want:   "WHERE a = 7 AND b = DATE '1994-01-01'"},
+		{name: "value holding a placeholder", sql: ":x, :y",
+			params: map[string]string{"x": "p:y", "y": "q'"},
+			want:   "'p:y', 'q'''"},
+		{name: "value holding a colon identifier", sql: "WHERE c = :v",
+			params: map[string]string{"v": "a:abc"},
+			want:   "WHERE c = 'a:abc'"},
+		{name: "inside a literal", sql: "INTERVAL ':delta' DAY",
+			params: map[string]string{"delta": "90"},
+			want:   "INTERVAL '90' DAY"},
+		{name: "unbound placeholder", sql: "WHERE a < :qty AND b < :max",
+			params: map[string]string{"qty": "3"}, wantErr: "unbound parameter :max"},
+		{name: "unused param", sql: "WHERE a < :qty",
+			params: map[string]string{"qty": "3", "extra": "1"}, wantErr: `param "extra" has no :extra placeholder`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Map iteration order varies run to run; the result must not.
+			for run := 0; run < 50; run++ {
+				got, err := substituteParams(tc.sql, tc.params)
+				if tc.wantErr != "" {
+					if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+						t.Fatalf("run %d: err = %v, want %q", run, err, tc.wantErr)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("run %d: %v", run, err)
+				}
+				if got != tc.want {
+					t.Fatalf("run %d: got %q, want %q", run, got, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestServeRejectsOversizeBody: POST bodies past maxBodyBytes are refused
+// with 413 before anything runs.
+func TestServeRejectsOversizeBody(t *testing.T) {
+	h := New(Config{}).Handler()
+	body := `{"sql": "` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, path := range []string{"/query", "/invalidate"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", path, rec.Code)
+		}
+	}
+}

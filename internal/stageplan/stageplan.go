@@ -61,7 +61,7 @@ type Output struct {
 	// Variant selects the boundary's exchange algorithm. The zero value
 	// (Levels 0) means "unresolved": the driver picks per boundary from the
 	// analytic request model (ChooseVariant) once it knows the sender fleet
-	// size, falling back to its configured single-round default.
+	// size. Workers refuse a boundary still unresolved at run time.
 	Variant exchange.Variant `json:"variant,omitempty"`
 }
 
@@ -226,11 +226,11 @@ const MinMultiLevelPartitions = 32
 // 0 lets the model decide: multi-level is chosen only when the fan-in
 // reaches MinMultiLevelPartitions and the billed-request savings exceed
 // the regroup fleet's own cost (Groups(P) extra invocations priced at
-// Lambda rates). Write combining is inherited from base either way —
-// it is strictly fewer requests, so it is never un-chosen here.
-func ChooseVariant(senders, partitions, buckets int, base exchange.Variant, forceLevels int) exchange.Variant {
-	single := exchange.Variant{Levels: 1, WriteCombining: base.WriteCombining}
-	multi := exchange.Variant{Levels: 2, WriteCombining: base.WriteCombining}
+// Lambda rates). Write combining is the caller's writeCombining either way
+// — it is strictly fewer requests, so it is never un-chosen here.
+func ChooseVariant(senders, partitions, buckets int, writeCombining bool, forceLevels int) exchange.Variant {
+	single := exchange.Variant{Levels: 1, WriteCombining: writeCombining}
+	multi := exchange.Variant{Levels: 2, WriteCombining: writeCombining}
 	single.Buckets = chooseShards(single, senders, partitions, buckets)
 	multi.Buckets = chooseShards(multi, senders, partitions, buckets)
 	switch {

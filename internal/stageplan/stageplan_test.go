@@ -307,7 +307,7 @@ func findScan(p engine.Plan, table string) *engine.ScanPlan {
 // the pool is only exhausted (Buckets == 0, "use them all") when even the
 // full pool cannot absorb the pressure.
 func TestChooseVariantPicksShardBuckets(t *testing.T) {
-	base := exchange.Variant{}
+	const base = false // no write combining
 
 	// A small fleet puts 8*8 = 64 requests per round on one bucket — far
 	// under the budget, so one shard bucket suffices.
