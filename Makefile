@@ -7,7 +7,7 @@ BENCHTIME ?= 300ms
 # trace-smoke output file (Chrome trace-event JSON; also the CI artifact).
 TRACE_OUT ?= trace-smoke.json
 
-.PHONY: build test race race-staged chaos scale-smoke bench bench-json bench-quick vet trace-smoke serve-smoke
+.PHONY: build test race race-staged chaos fuzz-smoke scale-smoke bench bench-json bench-quick vet trace-smoke serve-smoke
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,12 @@ chaos:
 		-run 'Chaos|Injected|ClientRetries|ClientBudget|EpochSweep|SingleScopeDuplicate' \
 		./internal/awssim/s3/ ./internal/awssim/sqs/ ./internal/awssim/dynamo/ \
 		./internal/awssim/lambdasvc/ ./internal/driver/
+
+# fuzz-smoke runs a short, fixed-length fuzz of the stage-boundary commit-
+# name parser (names come from S3 List and are untrusted). The checked-in
+# corpus under internal/exchange/testdata/fuzz also runs as plain tests.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzParseCommitName -fuzztime 5000x ./internal/exchange
 
 vet:
 	$(GO) vet ./...

@@ -164,12 +164,13 @@
 // applies per stage: once a quorum of a stage's workers sealed and a
 // straggler outlives a multiple of the median response time, the scheduler
 // re-invokes it as a new attempt. Exchange boundary names are versioned by
-// attempt (s<stage>/p<part>/a<attempt>-snd<sender>, with a per-attempt
-// commit marker; write-combining's single Put commits implicitly), so a
-// backup never races the original's files: receivers take each sender's
-// first committed attempt, and since fragments are deterministic, every
-// attempt's files are byte-identical — whichever attempt wins, the rows
-// collected are the same. The stale-drain collector (exchange.Sweep) purges
+// attempt (s<stage>/<round>/p<part>/a<attempt>-w<writer>, with a
+// per-attempt commit marker under s<stage>/<round>/commit/;
+// write-combining's single Put commits implicitly), so a backup never
+// races the original's files: receivers take each writer's first committed
+// attempt, and since fragments are deterministic, every attempt's files are
+// byte-identical — whichever attempt wins, the rows collected are the
+// same. The stale-drain collector (exchange.Sweep) purges
 // the boundary namespace before a query (an identically-numbered aborted
 // run on a fresh driver must not leak into its retry) and after it (loser
 // attempts and winner files alike).
@@ -200,7 +201,7 @@
 //	stamp     the epoch rides in every worker payload, every seal message,
 //	          every ready-marker key (q<N>/e<E>/s<stage>) and the whole
 //	          boundary namespace
-//	          (<fn>/q<N>/e<E>/s<stage>/p<part>/a<attempt>-snd<sender>)
+//	          (<fn>/q<N>/e<E>/s<stage>/<round>/p<part>/a<attempt>-w<writer>)
 //	discard   the scheduler drops seal messages whose epoch is not the
 //	          current one; consumers wait on this epoch's ready markers
 //	          and collect under this epoch's prefix, so an older epoch's

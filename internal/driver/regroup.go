@@ -12,12 +12,12 @@ import (
 )
 
 // Synthetic regroup fleets. A multi-level stage boundary (§4.4.2, adapted —
-// see internal/exchange/multilevel.go) needs an intermediate round between
-// the producing stage's publish and the consuming stage's collect: worker g
-// of Groups(P) merges partition group g across all senders and re-publishes
-// it as per-partition round-2 objects. The driver schedules that round as
-// its own stage run — a fleet of Groups(P) plan-less workers inserted
-// between producer and consumers — so pipelined launch, straggler
+// see the internal/exchange package comment) needs an intermediate round
+// between the producing stage's publish and the consuming stage's collect:
+// worker g of Groups(P) merges partition group g across all senders and
+// re-publishes it as the group's own round. The driver schedules that
+// round as its own stage run — a fleet of Groups(P) plan-less workers
+// inserted between producer and consumers — so pipelined launch, straggler
 // speculation, failure-seal relaunch and the liveness cap all apply to it
 // unchanged. Its stage ID lives far above the planner's ID space, keyed off
 // the producer, and its seal is what consumers of the boundary gate their

@@ -1,10 +1,3 @@
-// Package exchange implements Lambada's purely serverless exchange
-// operator family (§4.4): workers that cannot accept connections shuffle
-// data through S3. The basic algorithm needs a quadratic number of requests;
-// the paper's two optimizations — multi-level exchange and write combining —
-// reduce the request complexity to sub-quadratic, bringing request costs
-// below worker costs (Figure 9) and bypassing S3 rate limits via bucket
-// sharding (§4.4.1).
 package exchange
 
 import (
@@ -118,7 +111,7 @@ func (v Variant) RequestsPerBucketPerRound(p, buckets int) float64 {
 // boundary under a variant — the analytic counterpart of what the pricing
 // meter observes. Unlike the Table 2 asymptotics above (symmetric P-worker
 // grid exchange), these counts are exact for the asymmetric stage-boundary
-// protocol of stage.go/multilevel.go in a fault-free run: collects happen
+// protocol (the rounds of stage.go) in a fault-free run: collects happen
 // after the producing fleet sealed, so every discovery List runs exactly one
 // round, and empty partitions still ship (schema-only lpq blobs), so no
 // request is ever skipped data-dependently. The scale tests hold the meter

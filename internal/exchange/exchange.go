@@ -132,11 +132,35 @@ func (o *Options) wcPrefix(round, group int) string {
 // wcName encodes the sender and the cumulative part offsets in the file
 // name (§4.4.3 second variant: "we encode the offsets into the file name").
 func (o *Options) wcName(round, group, sender int, offsets []int64) string {
-	parts := make([]string, len(offsets))
+	return string(appendOffsets(fmt.Appendf(nil, "%s%d-off", o.wcPrefix(round, group), sender), offsets))
+}
+
+// appendOffsets appends cumulative offsets in their file-name form,
+// `o0_o1_…_on` — the one encoder of the grid's and the stage boundaries'
+// write-combined names.
+func appendOffsets(dst []byte, offsets []int64) []byte {
 	for i, off := range offsets {
-		parts[i] = strconv.FormatInt(off, 10)
+		if i > 0 {
+			dst = append(dst, '_')
+		}
+		dst = strconv.AppendInt(dst, off, 10)
 	}
-	return fmt.Sprintf("%s%d-off%s", o.wcPrefix(round, group), sender, strings.Join(parts, "_"))
+	return dst
+}
+
+// parseOffsets decodes appendOffsets' form.
+func parseOffsets(s string) ([]int64, error) {
+	offsets := make([]int64, 0, strings.Count(s, "_")+1)
+	for more := true; more; {
+		var field string
+		field, s, more = strings.Cut(s, "_")
+		v, err := strconv.ParseInt(field, 10, 64)
+		if err != nil {
+			return nil, err
+		}
+		offsets = append(offsets, v)
+	}
+	return offsets, nil
 }
 
 // parseWcName extracts sender and offsets from a write-combined file name.
@@ -154,14 +178,8 @@ func parseWcName(key string) (sender int, offsets []int64, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	for _, s := range strings.Split(rest[i+4:], "_") {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return 0, nil, err
-		}
-		offsets = append(offsets, v)
-	}
-	return sender, offsets, nil
+	offsets, err = parseOffsets(rest[i+4:])
+	return sender, offsets, err
 }
 
 // Run executes the exchange for one worker on real data: rows of input are
@@ -245,7 +263,7 @@ func (w Worker) runRound(opts Options, g grid, round int, cur *columnar.Chunk, k
 		if err != nil {
 			return nil, err
 		}
-		if err := appendLpqBlob(out, data); err != nil {
+		if out, err = appendLpqBlob(out, data); err != nil {
 			return nil, err
 		}
 	}
@@ -262,9 +280,8 @@ type wcSlice struct {
 
 // listCombined polls until all senders' combined objects exist under
 // prefix in the given shard buckets, then returns slot's byte range of
-// each in ascending sender order — the shared receive protocol of the grid
-// exchange and the stage boundaries (§4.4.3: offsets encoded in the file
-// name).
+// each in ascending sender order — the grid's write-combined receive
+// (§4.4.3: offsets encoded in the file name).
 func listCombined(client *s3.Client, opts Options, buckets []string, prefix string, senders, slots, slot int) ([]wcSlice, error) {
 	type hit struct {
 		bucket string
@@ -332,33 +349,31 @@ func (w Worker) receiveCombined(opts Options, g grid, round, group int, bucket s
 		if err != nil {
 			return nil, err
 		}
-		if err := appendLpqBlob(out, data); err != nil {
+		if out, err = appendLpqBlob(out, data); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-func appendLpqBlob(dst *columnar.Chunk, blob []byte) error {
+// appendLpqBlob decodes an lpq blob and appends its rows to dst, returning
+// the blob itself when dst is nil (lpq files are self-describing). Blob
+// bytes come from S3, so a blob whose schema differs from dst's is an
+// error, never a panic or ragged columns.
+func appendLpqBlob(dst *columnar.Chunk, blob []byte) (*columnar.Chunk, error) {
 	r, err := lpq.OpenReader(bytes.NewReader(blob), int64(len(blob)))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	c, err := r.ReadAll()
-	if err != nil {
-		return err
+	if err != nil || dst == nil {
+		return c, err
 	}
-	for j := range dst.Columns {
-		switch dst.Columns[j].Type {
-		case columnar.Int64:
-			dst.Columns[j].Int64s = append(dst.Columns[j].Int64s, c.Columns[j].Int64s...)
-		case columnar.Float64:
-			dst.Columns[j].Float64s = append(dst.Columns[j].Float64s, c.Columns[j].Float64s...)
-		case columnar.Bool:
-			dst.Columns[j].Bools = append(dst.Columns[j].Bools, c.Columns[j].Bools...)
-		}
+	if !dst.Schema.Equal(c.Schema) {
+		return nil, fmt.Errorf("exchange: blob schema (%s) differs from (%s)", c.Schema, dst.Schema)
 	}
-	return nil
+	dst.AppendChunk(c)
+	return dst, nil
 }
 
 // RoundTrace is the phase breakdown of one exchange round (Figure 13).

@@ -166,79 +166,106 @@ func TestMultiLevelRequestsMatchModel(t *testing.T) {
 // composes across both rounds. A sender's aborted round-1 attempt (garbage,
 // uncommitted) must be invisible; duplicate committed sender attempts and
 // duplicate committed regroup attempts must each be collected exactly once
-// (lowest attempt wins). Both write-combining modes.
+// (lowest attempt wins); a regroup worker's aborted attempt 0 (a garbage
+// slot object, never committed) must be invisible next to its committed
+// attempt 1. The second case has 13 groups (P = 169), so group 1 — which
+// commits only attempt 1 — sits beside group 12, which commits attempt 0:
+// group 1's receivers must read attempt 1. Both write-combining modes.
 func TestStageBoundaryMultiLevelFirstCommittedAttemptWins(t *testing.T) {
-	const senders, parts = 3, 6
+	const senders = 3
 	keys := []string{"k"}
-	for _, wc := range []bool{false, true} {
-		env := simenv.NewImmediate()
-		svc := s3.New(s3.Config{})
-		svc.MustCreateBucket("xa")
-		svc.MustCreateBucket("xb")
-		client := s3.NewClient(svc, env)
-		opts := Options{
-			Variant: Variant{Levels: 2, WriteCombining: wc},
-			Buckets: []string{"xa", "xb"},
-			Prefix:  "q10",
-			Poll:    time.Millisecond,
-			MaxWait: 10 * time.Second,
-		}
-		b := Boundary{Stage: 1, Senders: senders, Partitions: parts}
+	cases := []struct {
+		parts int
+		// regroup lists the attempts each group commits; default {0}.
+		regroup map[int][]int
+	}{
+		{parts: 6, regroup: map[int][]int{0: {0, 1}, 1: {1}}},
+		{parts: 169, regroup: map[int][]int{1: {1}}},
+	}
+	for _, tc := range cases {
+		parts := tc.parts
+		for _, wc := range []bool{false, true} {
+			env := simenv.NewImmediate()
+			svc := s3.New(s3.Config{})
+			svc.MustCreateBucket("xa")
+			svc.MustCreateBucket("xb")
+			client := s3.NewClient(svc, env)
+			opts := Options{
+				Variant: Variant{Levels: 2, WriteCombining: wc},
+				Buckets: []string{"xa", "xb"},
+				Prefix:  "q10",
+				Poll:    time.Millisecond,
+				MaxWait: 10 * time.Second,
+			}
+			b := Boundary{Stage: 1, Senders: senders, Partitions: parts}
 
-		if !wc {
-			// Sender 0's attempt 0 died after one group object, no commit.
-			stray := opts.stageGroupFile(b.Stage, 0, 0, 0)
-			if err := client.Put(opts.stageBucket(b.Stage, 0), stray, []byte("not an lpq file")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for s := 0; s < senders; s++ {
-			in := stageTestChunk(s*20, 20)
-			attempts := []int{0}
-			if s == 0 {
-				attempts = []int{1} // backup after the aborted attempt 0
-			} else if s == 1 {
-				attempts = []int{0, 1} // both original and backup committed
-			}
-			for _, a := range attempts {
-				ba := b
-				ba.Attempt = a
-				if err := PublishStage(client, opts, ba, s, in, keys); err != nil {
-					t.Fatalf("wc=%v sender %d attempt %d: %v", wc, s, a, err)
+			if !wc {
+				// Sender 0's attempt 0 died after one group object, no commit.
+				stray := sendersRound(opts, b, Groups(parts)).slotKey(0, 0, 0)
+				if err := client.Put(opts.stageBucket(b.Stage, 0), stray, []byte("not an lpq file")); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}
-		// Regroup group 0 ran twice (original + speculated backup); the
-		// others once.
-		for g := 0; g < Groups(parts); g++ {
-			attempts := []int{0}
-			if g == 0 {
-				attempts = []int{0, 1}
-			}
-			for _, a := range attempts {
-				ba := b
-				ba.Attempt = a
-				if err := RegroupStage(client, opts, ba, g, keys); err != nil {
-					t.Fatalf("wc=%v regroup %d attempt %d: %v", wc, g, a, err)
+			for s := 0; s < senders; s++ {
+				in := stageTestChunk(s*20, 20)
+				attempts := []int{0}
+				if s == 0 {
+					attempts = []int{1} // backup after the aborted attempt 0
+				} else if s == 1 {
+					attempts = []int{0, 1} // both original and backup committed
+				}
+				for _, a := range attempts {
+					ba := b
+					ba.Attempt = a
+					if err := PublishStage(client, opts, ba, s, in, keys); err != nil {
+						t.Fatalf("P=%d wc=%v sender %d attempt %d: %v", parts, wc, s, a, err)
+					}
 				}
 			}
-		}
-		total := 0
-		for p := 0; p < parts; p++ {
-			res, err := CollectStage(client, opts, b, p)
-			if err != nil {
-				t.Fatalf("wc=%v partition %d: %v", wc, p, err)
-			}
-			kcol := []*columnar.Vector{res.Column("k")}
-			for i := 0; i < res.NumRows(); i++ {
-				if got := HashPartition(kcol, i, parts); got != p {
-					t.Fatalf("wc=%v: row in partition %d, want %d", wc, p, got)
+			for g := 0; g < Groups(parts); g++ {
+				attempts, ok := tc.regroup[g]
+				if !ok {
+					attempts = []int{0}
+				}
+				if r := groupRound(opts, b, g); !wc && attempts[0] > 0 {
+					// The group's attempt 0 died after its first slot object.
+					stray := r.slotKey(r.s0, g, 0)
+					if err := client.Put(opts.stageBucket(b.Stage, r.s0), stray, []byte("not an lpq file")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, a := range attempts {
+					ba := b
+					ba.Attempt = a
+					if err := RegroupStage(client, opts, ba, g, keys); err != nil {
+						t.Fatalf("P=%d wc=%v regroup %d attempt %d: %v", parts, wc, g, a, err)
+					}
 				}
 			}
-			total += res.NumRows()
-		}
-		if total != senders*20 {
-			t.Fatalf("wc=%v: collected %d rows, want %d (duplicate or stray attempt leaked)", wc, total, senders*20)
+			total := 0
+			groupRows := make(map[int]int)
+			for p := 0; p < parts; p++ {
+				res, err := CollectStage(client, opts, b, p)
+				if err != nil {
+					t.Fatalf("P=%d wc=%v partition %d: %v", parts, wc, p, err)
+				}
+				kcol := []*columnar.Vector{res.Column("k")}
+				for i := 0; i < res.NumRows(); i++ {
+					if got := HashPartition(kcol, i, parts); got != p {
+						t.Fatalf("P=%d wc=%v: row in partition %d, want %d", parts, wc, p, got)
+					}
+				}
+				total += res.NumRows()
+				groupRows[GroupOf(p, parts)] += res.NumRows()
+			}
+			for g := range tc.regroup {
+				if groupRows[g] == 0 {
+					t.Fatalf("P=%d wc=%v: group %d collected no rows, so its attempts went unchecked", parts, wc, g)
+				}
+			}
+			if total != senders*20 {
+				t.Fatalf("P=%d wc=%v: collected %d rows, want %d (duplicate or stray attempt leaked)", parts, wc, total, senders*20)
+			}
 		}
 	}
 }

@@ -1,10 +1,9 @@
 package exchange
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 	"strconv"
 	"strings"
 
@@ -13,36 +12,6 @@ import (
 	"lambada/internal/columnar"
 	"lambada/internal/lpq"
 )
-
-// Stage boundaries are the asymmetric counterpart of the symmetric
-// all-to-all exchange of Run: a producing stage of S workers hash-partitions
-// its output rows into P partitions through S3, and a consuming stage of P
-// workers each collects exactly one partition from every sender. Unlike the
-// multi-level grid (which requires senders == receivers), a boundary is a
-// single round when Variant.Levels == 1 (multilevel.go adds the §4.4.2
-// regrouping round for Levels >= 2: senders write √-grouped objects, a
-// regroup fleet merges per group, receivers touch one group object instead
-// of S sender objects); bucket sharding (by partition in the basic variant,
-// by sender when write-combining) keeps the §4.4.1 rate-limit multiplication,
-// and the write-combining variant keeps the §4.4.3 trick of encoding
-// cumulative partition offsets in the file name so each receiver
-// range-reads its slice of one combined object per sender.
-//
-// Every sender writes a file (possibly empty) for every partition, so
-// receivers never need a membership protocol: partition p is complete once
-// all S sender files exist.
-//
-// Boundary names are versioned by attempt so straggler speculation can
-// re-run a sender without racing the original's files: attempt a of sender
-// s writes into its own `a<attempt>` namespace and then commits it — with a
-// per-(stage,attempt,sender) commit marker in the basic variant, or
-// implicitly by the single atomic Put of the combined object when
-// write-combining. Receivers take, per sender, the first complete
-// (committed) attempt set; uncommitted and later attempts are ignored.
-// Because stage fragments are deterministic, every attempt's files are
-// byte-identical, so which attempt wins never changes the collected rows.
-// Loser attempts linger as garbage until Sweep (the stale-drain collector)
-// removes the boundary namespace.
 
 // Boundary identifies one producing stage's partitioned output inside an
 // exchange namespace (Options.Prefix scopes the query).
@@ -60,96 +29,258 @@ type Boundary struct {
 	Partitions int
 }
 
-func (o *Options) stageBucket(stage, part int) string {
-	return o.Buckets[(stage*31+part)%len(o.Buckets)]
+// GroupSize returns the number of consecutive partitions per group of a
+// multi-level boundary with the given partition count: ceil(P / ceil(√P)).
+func GroupSize(parts int) int {
+	if parts < 1 {
+		return 1
+	}
+	g0 := int(math.Ceil(math.Sqrt(float64(parts))))
+	return (parts + g0 - 1) / g0
 }
 
-// stageFile names sender's file of one partition within one attempt.
-func (o *Options) stageFile(stage, attempt, part, sender int) string {
-	return fmt.Sprintf("%s/s%d/p%d/a%d-snd%d", o.Prefix, stage, part, attempt, sender)
+// Groups returns the regroup-round fleet size of a multi-level boundary
+// with the given partition count — about √P groups of GroupSize
+// consecutive partitions each.
+func Groups(parts int) int {
+	size := GroupSize(parts)
+	if parts < 1 {
+		return 1
+	}
+	return (parts + size - 1) / size
 }
 
-// stageCommit names the commit marker sealing (stage, sender, attempt) in
-// the basic variant: it is written after every partition file of the
-// attempt, so receivers that see it can read any partition without waiting.
-func (o *Options) stageCommit(stage, sender, attempt int) string {
-	return fmt.Sprintf("%s/s%d/commit/snd%d-a%d", o.Prefix, stage, sender, attempt)
+// GroupOf returns the group that owns the partition.
+func GroupOf(part, parts int) int {
+	return part / GroupSize(parts)
 }
 
-// stageCommitDir is the stage's whole commit namespace: one List under it
-// returns the markers of every sender sharded into that bucket, so a
-// receiver discovers all its senders' commits with one request per shard
-// bucket per round instead of one List per (sender, poll).
-func (o *Options) stageCommitDir(stage int) string {
-	return fmt.Sprintf("%s/s%d/commit/", o.Prefix, stage)
+// groupSpan returns the partition range [lo, hi) of one group.
+func groupSpan(group, parts int) (lo, hi int) {
+	size := GroupSize(parts)
+	lo = group * size
+	hi = min(lo+size, parts)
+	return lo, hi
 }
 
-// parseStageCommitName extracts sender and attempt from a commit marker key
-// (`…/commit/snd<s>-a<n>`).
-func parseStageCommitName(key string) (sender, attempt int, err error) {
+func (o *Options) stageBucket(stage, id int) string {
+	return o.Buckets[(stage*31+id)%len(o.Buckets)]
+}
+
+// round is one publish/discover/collect hop of a stage boundary (see the
+// package comment): writers [w0, w1) publish one blob per slot [s0, s1)
+// under the key namespace <prefix>/s<stage>/<ns>/.
+type round struct {
+	opts   Options
+	stage  int
+	ns     string
+	w0, w1 int
+	s0, s1 int
+}
+
+// sendersRound is the round the producing stage's senders write: slots are
+// partitions (Levels 1) or partition groups (Levels >= 2).
+func sendersRound(opts Options, b Boundary, slots int) round {
+	return round{opts: opts, stage: b.Stage, ns: "snd", w0: 0, w1: b.Senders, s0: 0, s1: slots}
+}
+
+// groupRound is a regroup worker's output round: its only writer is the
+// group, and its slots are the group's partitions, numbered globally so
+// basic-layout objects still shard by partition.
+func groupRound(opts Options, b Boundary, group int) round {
+	lo, hi := groupSpan(group, b.Partitions)
+	return round{opts: opts, stage: b.Stage, ns: "g" + strconv.Itoa(group), w0: group, w1: group + 1, s0: lo, s1: hi}
+}
+
+// commitDir holds the round's commits: basic-layout markers, or the
+// write-combined objects themselves. Readers List and park on it alone.
+func (r round) commitDir() string {
+	return fmt.Sprintf("%s/s%d/%s/commit/", r.opts.Prefix, r.stage, r.ns)
+}
+
+// slotKey names one writer attempt's basic-layout object of one slot.
+func (r round) slotKey(slot, writer, attempt int) string {
+	return fmt.Sprintf("%s/s%d/%s/p%d/a%d-w%d", r.opts.Prefix, r.stage, r.ns, slot, attempt, writer)
+}
+
+// commitKey names a writer attempt's commit: `w<writer>-a<attempt>`, plus
+// `-off<o0>_…_<on>` — the cumulative slot offsets — for a write-combined
+// object.
+func (r round) commitKey(writer, attempt int, offsets []int64) string {
+	key := fmt.Appendf(nil, "%sw%d-a%d", r.commitDir(), writer, attempt)
+	if offsets != nil {
+		key = appendOffsets(append(key, "-off"...), offsets)
+	}
+	return string(key)
+}
+
+// commit is a writer's discovered commit.
+type commit struct {
+	attempt int
+	bucket  string
+	key     string
+	offsets []int64 // write-combining: slots+1 non-decreasing offsets
+}
+
+// parseCommit parses a key listed under commitDir. Keys come from S3 List
+// and are untrusted: the writer must belong to the round, the attempt must
+// be non-negative, and a write-combined name must carry exactly slots+1
+// non-decreasing, non-negative offsets.
+func (r round) parseCommit(key string) (writer int, c commit, err error) {
+	c.key = key
 	base := key[strings.LastIndex(key, "/")+1:]
-	if !strings.HasPrefix(base, "snd") {
-		return 0, 0, fmt.Errorf("exchange: bad commit marker %q", key)
+	rest, ok := strings.CutPrefix(base, "w")
+	ws, rest, ok2 := strings.Cut(rest, "-a")
+	as, offs, combined := strings.Cut(rest, "-off")
+	if !ok || !ok2 || combined != r.opts.Variant.WriteCombining {
+		return 0, c, fmt.Errorf("exchange: bad commit name %q", key)
 	}
-	rest := base[3:]
-	ai := strings.Index(rest, "-a")
-	if ai < 0 {
-		return 0, 0, fmt.Errorf("exchange: bad commit marker %q", key)
+	writer, werr := strconv.Atoi(ws)
+	attempt, aerr := strconv.Atoi(as)
+	if werr != nil || aerr != nil || writer < r.w0 || writer >= r.w1 || attempt < 0 {
+		return 0, c, fmt.Errorf("exchange: bad commit name %q", key)
 	}
-	if sender, err = strconv.Atoi(rest[:ai]); err != nil {
-		return 0, 0, fmt.Errorf("exchange: bad commit marker %q", key)
+	c.attempt = attempt
+	if !combined {
+		return writer, c, nil
 	}
-	if attempt, err = strconv.Atoi(rest[ai+2:]); err != nil {
-		return 0, 0, fmt.Errorf("exchange: bad commit marker %q", key)
+	if c.offsets, err = parseOffsets(offs); err != nil {
+		return 0, c, fmt.Errorf("exchange: bad offsets in %q: %w", key, err)
 	}
-	return sender, attempt, nil
-}
-
-func (o *Options) stageWcPrefix(stage int) string {
-	return fmt.Sprintf("%s/s%d/snd", o.Prefix, stage)
-}
-
-// stageWcName encodes sender, attempt and the cumulative partition offsets
-// in the combined object's name (§4.4.3). The single Put is atomic, so the
-// object doubles as its own commit marker.
-func (o *Options) stageWcName(stage, attempt, sender int, offsets []int64) string {
-	return fmt.Sprintf("%s%d-a%d-off%s", o.stageWcPrefix(stage), sender, attempt, offsetString(offsets))
-}
-
-// parseStageWcName extracts sender, attempt and offsets from a combined
-// stage-boundary object name (`snd<s>-a<n>-off<o0_o1_…>`).
-func parseStageWcName(key string) (sender, attempt int, offsets []int64, err error) {
-	return parseWcTail(key, "snd")
-}
-
-// parseWcTail parses a `<tag><id>-a<n>-off<o0_o1_…>` combined-object base
-// name — the shared shape of single-round (`snd`), round-1 grouped
-// (`r1snd`) and regroup (`rg`) write-combined objects.
-func parseWcTail(key, tag string) (id, attempt int, offsets []int64, err error) {
-	base := key[strings.LastIndex(key, "/")+1:]
-	if !strings.HasPrefix(base, tag) {
-		return 0, 0, nil, fmt.Errorf("exchange: bad stage wc file name %q", key)
+	if len(c.offsets) != r.s1-r.s0+1 {
+		return 0, c, fmt.Errorf("exchange: %d offsets for %d slots in %q", len(c.offsets), r.s1-r.s0, key)
 	}
-	rest := base[len(tag):]
-	ai := strings.Index(rest, "-a")
-	oi := strings.Index(rest, "-off")
-	if ai < 0 || oi < 0 || oi < ai {
-		return 0, 0, nil, fmt.Errorf("exchange: bad stage wc file name %q", key)
-	}
-	if id, err = strconv.Atoi(rest[:ai]); err != nil {
-		return 0, 0, nil, err
-	}
-	if attempt, err = strconv.Atoi(rest[ai+2 : oi]); err != nil {
-		return 0, 0, nil, err
-	}
-	for _, s := range strings.Split(rest[oi+4:], "_") {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return 0, 0, nil, err
+	for i, off := range c.offsets {
+		if off < 0 || i > 0 && off < c.offsets[i-1] {
+			return 0, c, fmt.Errorf("exchange: inverted offsets in %q", key)
 		}
-		offsets = append(offsets, v)
 	}
-	return id, attempt, offsets, nil
+	return writer, c, nil
+}
+
+// publish writes one writer attempt's blobs, one per slot. Basic layout:
+// one object per slot, sharded by slot, then the commit marker, sharded by
+// writer — a reader that sees the marker knows every slot object exists (S3
+// writes are strongly consistent). Write-combining: one object, sharded by
+// writer, whose atomic Put is the commit.
+func (r round) publish(client *s3.Client, writer, attempt int, blobs [][]byte) error {
+	if r.opts.Variant.WriteCombining {
+		var combined []byte
+		offsets := make([]int64, 0, len(blobs)+1)
+		for _, blob := range blobs {
+			offsets = append(offsets, int64(len(combined)))
+			combined = append(combined, blob...)
+		}
+		offsets = append(offsets, int64(len(combined)))
+		return client.Put(r.opts.stageBucket(r.stage, writer), r.commitKey(writer, attempt, offsets), combined)
+	}
+	for i, blob := range blobs {
+		slot := r.s0 + i
+		if err := client.Put(r.opts.stageBucket(r.stage, slot), r.slotKey(slot, writer, attempt), blob); err != nil {
+			return err
+		}
+	}
+	return client.Put(r.opts.stageBucket(r.stage, writer), r.commitKey(writer, attempt, nil), nil)
+}
+
+// discover waits until every writer committed at least one attempt and
+// returns, per writer in ascending order, its lowest committed attempt.
+// Each pass Lists the commit namespace once per shard bucket that still
+// hosts an undiscovered writer, in order of each bucket's lowest writer — a
+// deterministic order matters, since DES readers consume modeled List
+// latencies in iteration order. Between passes the reader parks on the
+// namespace's completion signal, with the timed poll as the fallback.
+func (r round) discover(client *s3.Client) ([]commit, error) {
+	type shard struct {
+		bucket  string
+		writers []int
+	}
+	var shards []shard
+	idx := map[string]int{}
+	for w := r.w0; w < r.w1; w++ {
+		bk := r.opts.stageBucket(r.stage, w)
+		i, ok := idx[bk]
+		if !ok {
+			i = len(shards)
+			idx[bk] = i
+			shards = append(shards, shard{bucket: bk})
+		}
+		shards[i].writers = append(shards[i].writers, w)
+	}
+	won := make([]commit, r.w1-r.w0)
+	for i := range won {
+		won[i].attempt = -1
+	}
+	found := 0
+	dir := r.commitDir()
+	deadline := client.Env().Now() + r.opts.MaxWait
+	for {
+		for _, sh := range shards {
+			pending := false
+			for _, w := range sh.writers {
+				pending = pending || won[w-r.w0].attempt < 0
+			}
+			if !pending {
+				continue
+			}
+			entries, err := client.List(sh.bucket, dir)
+			if err != nil {
+				return nil, err
+			}
+			for _, e := range entries {
+				w, c, err := r.parseCommit(e.Key)
+				if err != nil {
+					return nil, err
+				}
+				c.bucket = sh.bucket
+				cur := &won[w-r.w0]
+				if cur.attempt < 0 {
+					found++
+				}
+				if cur.attempt < 0 || c.attempt < cur.attempt {
+					*cur = c
+				}
+			}
+		}
+		if found == len(won) {
+			return won, nil
+		}
+		if client.Env().Now() >= deadline {
+			return nil, fmt.Errorf("exchange: %d/%d writers of stage %d round %s committed after %v",
+				found, len(won), r.stage, r.ns, r.opts.MaxWait)
+		}
+		simenv.WaitNotifyKey(client.Env(), "s3/"+dir, r.opts.Poll)
+	}
+}
+
+// collect discovers the round's commits and returns the concatenation of
+// slot across writers in ascending writer order, each read from the
+// writer's lowest committed attempt.
+func (r round) collect(client *s3.Client, slot int) (*columnar.Chunk, error) {
+	won, err := r.discover(client)
+	if err != nil {
+		return nil, err
+	}
+	var out *columnar.Chunk
+	for i, c := range won {
+		var data []byte
+		if c.offsets != nil {
+			lo, hi := c.offsets[slot-r.s0], c.offsets[slot-r.s0+1]
+			data, _, err = client.GetRange(c.bucket, c.key, lo, hi-lo, 1)
+		} else {
+			name := r.slotKey(slot, r.w0+i, c.attempt)
+			if data, _, err = client.Get(r.opts.stageBucket(r.stage, slot), name, 1); err != nil {
+				err = fmt.Errorf("exchange: reading %s: %w", name, err)
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		if out, err = appendLpqBlob(out, data); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // HashPartition maps row i of the key columns to its partition in
@@ -186,13 +317,25 @@ func partitionRows(chunk *columnar.Chunk, keys []string, parts int) ([][]int, er
 	return sel, nil
 }
 
-// PublishStage hash-partitions chunk by the key columns and writes this
-// sender's partition files into the boundary's attempt namespace — one
-// object per partition plus a commit marker, or one combined object with
-// sender/attempt/offsets in the name when the variant write-combines. Rows
-// keep their order within each partition, so the boundary is deterministic
-// for a deterministic input chunk, and re-publishing the same chunk under a
-// new attempt produces byte-identical files.
+// encodeRows writes one lpq blob per row selection of chunk.
+func encodeRows(chunk *columnar.Chunk, sel [][]int) ([][]byte, error) {
+	blobs := make([][]byte, len(sel))
+	for i, rows := range sel {
+		data, err := lpq.WriteFile(chunk.Schema, lpq.WriterOptions{}, chunk.Gather(rows))
+		if err != nil {
+			return nil, err
+		}
+		blobs[i] = data
+	}
+	return blobs, nil
+}
+
+// PublishStage hash-partitions chunk by the key columns and publishes this
+// sender's attempt (b.Attempt) into the senders' round: one slot per
+// partition, or, for a multi-level boundary, one slot per partition group
+// holding the group's partitions in ascending order. Rows keep their order
+// within each partition, so re-publishing the same chunk under a new
+// attempt produces byte-identical blobs.
 func PublishStage(client *s3.Client, opts Options, b Boundary, sender int, chunk *columnar.Chunk, keys []string) error {
 	opts = opts.shardPool()
 	if len(opts.Buckets) == 0 {
@@ -201,57 +344,33 @@ func PublishStage(client *s3.Client, opts Options, b Boundary, sender int, chunk
 	if b.Partitions < 1 {
 		return fmt.Errorf("exchange: boundary with %d partitions", b.Partitions)
 	}
-	if opts.Variant.Levels >= 2 {
-		return publishStageGrouped(client, opts, b, sender, chunk, keys)
-	}
 	sel, err := partitionRows(chunk, keys, b.Partitions)
 	if err != nil {
 		return err
 	}
-	blobs := make([][]byte, b.Partitions)
-	for p := 0; p < b.Partitions; p++ {
-		part := chunk.Gather(sel[p])
-		data, err := lpq.WriteFile(chunk.Schema, lpq.WriterOptions{}, part)
-		if err != nil {
-			return err
+	if opts.Variant.Levels >= 2 {
+		grouped := make([][]int, Groups(b.Partitions))
+		for g := range grouped {
+			lo, hi := groupSpan(g, b.Partitions)
+			for _, rows := range sel[lo:hi] {
+				grouped[g] = append(grouped[g], rows...)
+			}
 		}
-		blobs[p] = data
+		sel = grouped
 	}
-
-	if opts.Variant.WriteCombining {
-		// One combined object, sharded by sender (a sender writes one file,
-		// so the per-partition spread of the basic variant is unavailable —
-		// spreading senders keeps the §4.4.1 rate-limit multiplication);
-		// cumulative partition offsets travel in the name. The single Put is
-		// atomic: the object existing means the attempt is committed.
-		var combined []byte
-		offsets := make([]int64, 0, b.Partitions+1)
-		for p := 0; p < b.Partitions; p++ {
-			offsets = append(offsets, int64(len(combined)))
-			combined = append(combined, blobs[p]...)
-		}
-		offsets = append(offsets, int64(len(combined)))
-		name := opts.stageWcName(b.Stage, b.Attempt, sender, offsets)
-		return client.Put(opts.stageBucket(b.Stage, sender), name, combined)
+	blobs, err := encodeRows(chunk, sel)
+	if err != nil {
+		return err
 	}
-
-	for p := 0; p < b.Partitions; p++ {
-		if err := client.Put(opts.stageBucket(b.Stage, p), opts.stageFile(b.Stage, b.Attempt, p, sender), blobs[p]); err != nil {
-			return err
-		}
-	}
-	// Commit marker last: a receiver that sees it knows every partition file
-	// of this attempt exists (S3 writes are strongly consistent).
-	return client.Put(opts.stageBucket(b.Stage, sender), opts.stageCommit(b.Stage, sender, b.Attempt), nil)
+	return sendersRound(opts, b, len(sel)).publish(client, sender, b.Attempt, blobs)
 }
 
-// CollectStage waits until every sender has committed at least one attempt,
-// then returns the concatenation of partition part across senders in
-// ascending sender order, reading each sender's first (lowest) committed
-// attempt. Later and uncommitted attempts — stragglers that lost a
-// speculation race, or partial file sets of an aborted attempt — are
-// ignored. The schema comes from the blobs themselves (lpq files are
-// self-describing), so boundaries need no schema plumbing.
+// CollectStage returns partition part: the concatenation of its rows across
+// senders in ascending sender order, each sender's lowest committed attempt
+// winning — read from the senders' round directly, or, for a multi-level
+// boundary, from the round of the partition's regroup group. The schema
+// comes from the blobs themselves (lpq files are self-describing), so
+// boundaries need no schema plumbing.
 func CollectStage(client *s3.Client, opts Options, b Boundary, part int) (*columnar.Chunk, error) {
 	opts = opts.shardPool()
 	if len(opts.Buckets) == 0 {
@@ -261,206 +380,48 @@ func CollectStage(client *s3.Client, opts Options, b Boundary, part int) (*colum
 		return nil, fmt.Errorf("exchange: stage %d has no senders", b.Stage)
 	}
 	if opts.Variant.Levels >= 2 {
-		return collectStageMultiLevel(client, opts, b, part)
+		return groupRound(opts, b, GroupOf(part, b.Partitions)).collect(client, part)
 	}
-	if opts.Variant.WriteCombining {
-		return collectStageCombined(client, opts, b, part)
+	return sendersRound(opts, b, b.Partitions).collect(client, part)
+}
+
+// RegroupStage runs the intermediate round of a multi-level boundary for
+// one group: collect the group from the senders' round, re-partition the
+// merged rows by the boundary's hash, and publish the group's round under
+// this regroup attempt (b.Attempt — regroup workers are speculated and
+// retried like any fragment).
+func RegroupStage(client *s3.Client, opts Options, b Boundary, group int, keys []string) error {
+	opts = opts.shardPool()
+	if len(opts.Buckets) == 0 {
+		return errors.New("exchange: no buckets configured")
 	}
-	attempts, err := waitAllCommitted(client, opts, b, opts.stageCommitDir(b.Stage))
+	if b.Senders < 1 {
+		return fmt.Errorf("exchange: stage %d has no senders", b.Stage)
+	}
+	groups := Groups(b.Partitions)
+	if group < 0 || group >= groups {
+		return fmt.Errorf("exchange: regroup group %d of %d", group, groups)
+	}
+	merged, err := sendersRound(opts, b, groups).collect(client, group)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var out *columnar.Chunk
-	bucket := opts.stageBucket(b.Stage, part)
-	for s := 0; s < b.Senders; s++ {
-		name := opts.stageFile(b.Stage, attempts[s], part, s)
-		data, _, err := client.Get(bucket, name, 1)
-		if err != nil {
-			return nil, fmt.Errorf("exchange: reading %s: %w", name, err)
-		}
-		if out, err = appendStageBlob(out, data); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// bucketSenders is one shard bucket and the senders sharded into it.
-type bucketSenders struct {
-	bucket  string
-	senders []int
-}
-
-// senderBuckets groups a boundary's senders by the shard bucket their
-// commit markers (basic) or combined objects (write-combining) land in,
-// ordered by lowest sender — a deterministic order matters: DES receivers
-// consume modeled List latencies in iteration order, so ranging over a Go
-// map here would randomize virtual timelines run to run.
-func senderBuckets(opts Options, b Boundary) []bucketSenders {
-	idx := map[string]int{}
-	var out []bucketSenders
-	for s := 0; s < b.Senders; s++ {
-		bk := opts.stageBucket(b.Stage, s)
-		i, ok := idx[bk]
-		if !ok {
-			i = len(out)
-			idx[bk] = i
-			out = append(out, bucketSenders{bucket: bk})
-		}
-		out[i].senders = append(out[i].senders, s)
-	}
-	return out
-}
-
-// bucketDone reports whether every sender sharded into the bucket has a
-// committed attempt recorded already.
-func bucketDone(senders []int, committed map[int]int) bool {
-	for _, s := range senders {
-		if _, ok := committed[s]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// waitAllCommitted waits until every sender of the boundary has committed
-// at least one attempt under the given commit namespace and returns, per
-// sender, the first committed attempt observed (ties broken toward the
-// lowest attempt number) — the rule that makes backup attempts race-free.
-// Discovery is batched and incremental: one List of the commit namespace
-// per shard bucket per round, only for buckets that still host uncommitted
-// senders, with results cached across rounds; between rounds the receiver
-// parks on the completion signal s3.Put broadcasts, with the timed poll as
-// the fallback. The dir parameter selects the round: the single-round
-// commit namespace, or the r1commit namespace of a multi-level boundary.
-func waitAllCommitted(client *s3.Client, opts Options, b Boundary, dir string) (map[int]int, error) {
-	byBucket := senderBuckets(opts, b)
-	committed := make(map[int]int, b.Senders)
-	deadline := client.Env().Now() + opts.MaxWait
-	for {
-		for _, bs := range byBucket {
-			if bucketDone(bs.senders, committed) {
-				continue
-			}
-			entries, err := client.List(bs.bucket, dir)
-			if err != nil {
-				return nil, err
-			}
-			for _, e := range entries {
-				sender, attempt, err := parseStageCommitName(e.Key)
-				if err != nil {
-					return nil, err
-				}
-				if cur, ok := committed[sender]; !ok || attempt < cur {
-					committed[sender] = attempt
-				}
-			}
-		}
-		if len(committed) >= b.Senders {
-			return committed, nil
-		}
-		if client.Env().Now() >= deadline {
-			return nil, fmt.Errorf("exchange: %d/%d senders of stage %d committed after %v",
-				len(committed), b.Senders, b.Stage, opts.MaxWait)
-		}
-		// Park on the stage's commit namespace: only a commit-marker Put of
-		// THIS boundary wakes the receiver early (bucket is omitted from
-		// completion topics, so one prefix covers all shard buckets).
-		simenv.WaitNotifyKey(client.Env(), "s3/"+dir, opts.Poll)
-	}
-}
-
-// stageWcFile is one committed combined object of a sender.
-type stageWcFile struct {
-	bucket  string
-	key     string
-	attempt int
-	offsets []int64
-}
-
-// discoverCombined lists a boundary's write-combined objects across the
-// senders' shard buckets until every sender has committed at least one
-// attempt, returning each sender's first observed attempt (lowest wins
-// within a round). Discovery is incremental — found senders are cached
-// across rounds, a bucket is re-listed only while it still hosts unfound
-// senders, and the caller parks on the completion signal between rounds.
-// The prefix/tag pair selects the round (single-round `snd` objects with
-// slots = partitions, or round-1 `r1snd` grouped objects with slots =
-// groups); every object must carry slots+1 cumulative offsets.
-func discoverCombined(client *s3.Client, opts Options, b Boundary, prefix, tag string, slots int) (map[int]stageWcFile, error) {
-	byBucket := senderBuckets(opts, b)
-	deadline := client.Env().Now() + opts.MaxWait
-	best := make(map[int]stageWcFile, b.Senders)
-	found := make(map[int]int, b.Senders) // attempt per sender, for bucketDone
-	for {
-		for _, bs := range byBucket {
-			if bucketDone(bs.senders, found) {
-				continue
-			}
-			entries, err := client.List(bs.bucket, prefix)
-			if err != nil {
-				return nil, err
-			}
-			for _, e := range entries {
-				sender, attempt, offsets, err := parseWcTail(e.Key, tag)
-				if err != nil {
-					return nil, err
-				}
-				if len(offsets) != slots+1 {
-					return nil, fmt.Errorf("exchange: %d offsets for %d slots in %q", len(offsets), slots, e.Key)
-				}
-				if cur, ok := best[sender]; !ok || attempt < cur.attempt {
-					best[sender] = stageWcFile{bucket: bs.bucket, key: e.Key, attempt: attempt, offsets: offsets}
-					found[sender] = attempt
-				}
-			}
-		}
-		if len(best) >= b.Senders {
-			return best, nil
-		}
-		if client.Env().Now() >= deadline {
-			return nil, fmt.Errorf("exchange: %d/%d senders committed after %v", len(best), b.Senders, opts.MaxWait)
-		}
-		// Park on the boundary's combined-object namespace: only a sender's
-		// atomic Put into this stage's prefix wakes the receiver.
-		simenv.WaitNotifyKey(client.Env(), "s3/"+prefix, opts.Poll)
-	}
-}
-
-// collectStageCombined lists the boundary's combined objects across the
-// senders' shard buckets until every sender has committed at least one
-// attempt, then range-reads this partition's slice of each sender's first
-// observed attempt (lowest wins within a round). Extra objects from losing
-// attempts are ignored. Like waitAllCommitted, discovery is incremental:
-// found senders are cached across rounds, a bucket is re-listed only while
-// it still hosts unfound senders, and the receiver parks on the completion
-// signal between rounds.
-func collectStageCombined(client *s3.Client, opts Options, b Boundary, part int) (*columnar.Chunk, error) {
-	best, err := discoverCombined(client, opts, b, opts.stageWcPrefix(b.Stage), "snd", b.Partitions)
+	sel, err := partitionRows(merged, keys, b.Partitions)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	senders := make([]int, 0, len(best))
-	for s := range best {
-		senders = append(senders, s)
-	}
-	sort.Ints(senders)
-	var out *columnar.Chunk
-	for _, s := range senders {
-		f := best[s]
-		lo, hi := f.offsets[part], f.offsets[part+1]
-		if hi < lo {
-			return nil, fmt.Errorf("exchange: inverted offsets in %q", f.key)
-		}
-		data, _, err := client.GetRange(f.bucket, f.key, lo, hi-lo, 1)
-		if err != nil {
-			return nil, err
-		}
-		if out, err = appendStageBlob(out, data); err != nil {
-			return nil, err
+	r := groupRound(opts, b, group)
+	for p := range sel {
+		if (p < r.s0 || p >= r.s1) && len(sel[p]) > 0 {
+			return fmt.Errorf("exchange: stage %d group %d holds %d rows hashed to partition %d (boundary shape mismatch)",
+				b.Stage, group, len(sel[p]), p)
 		}
 	}
-	return out, nil
+	blobs, err := encodeRows(merged, sel[r.s0:r.s1])
+	if err != nil {
+		return err
+	}
+	return r.publish(client, group, b.Attempt, blobs)
 }
 
 // Sweep is the stale-drain collector: it deletes every object under prefix
@@ -491,31 +452,4 @@ func Sweep(client *s3.Client, buckets []string, prefix string) (int, error) {
 		removed += len(keys)
 	}
 	return removed, nil
-}
-
-// appendStageBlob decodes an lpq blob and appends its rows to dst,
-// allocating dst from the blob's own schema on first use.
-func appendStageBlob(dst *columnar.Chunk, blob []byte) (*columnar.Chunk, error) {
-	if dst == nil {
-		r, err := lpq.OpenReader(bytes.NewReader(blob), int64(len(blob)))
-		if err != nil {
-			return nil, err
-		}
-		return r.ReadAll()
-	}
-	if err := appendLpqBlob(dst, blob); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-func offsetString(offsets []int64) string {
-	s := ""
-	for i, off := range offsets {
-		if i > 0 {
-			s += "_"
-		}
-		s += fmt.Sprintf("%d", off)
-	}
-	return s
 }

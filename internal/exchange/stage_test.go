@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -166,7 +167,7 @@ func TestStageBoundaryFirstCommittedAttemptWins(t *testing.T) {
 
 	// Sender 0's attempt 0 died after writing only partition 0 — a stray
 	// file with garbage content and, crucially, no commit marker.
-	stray := opts.stageFile(b.Stage, 0, 0, 0)
+	stray := sendersRound(opts, b, parts).slotKey(0, 0, 0)
 	if err := client.Put(opts.stageBucket(b.Stage, 0), stray, []byte("not an lpq file")); err != nil {
 		t.Fatal(err)
 	}
@@ -400,4 +401,99 @@ func TestCollectStageListsOncePerBucket(t *testing.T) {
 				wc, got, len(buckets))
 		}
 	}
+}
+
+// TestCollectStageRejectsSchemaMismatch: blob bytes come from S3, so a
+// sender whose blobs carry a different schema than the first sender's must
+// fail the collect with an error — not panic on a missing column, and not
+// append a mistyped column into ragged output. Both variants.
+func TestCollectStageRejectsSchemaMismatch(t *testing.T) {
+	narrow := columnar.NewChunk(columnar.NewSchema(columnar.Field{Name: "k", Type: columnar.Int64}), 20)
+	retyped := columnar.NewChunk(columnar.NewSchema(
+		columnar.Field{Name: "k", Type: columnar.Int64},
+		columnar.Field{Name: "k2", Type: columnar.Int64},
+		columnar.Field{Name: "v", Type: columnar.Int64},
+	), 20)
+	for i := 0; i < 20; i++ {
+		narrow.Columns[0].AppendInt64(int64(20 + i))
+		for _, col := range retyped.Columns {
+			col.AppendInt64(int64(20 + i))
+		}
+	}
+	for _, odd := range []*columnar.Chunk{narrow, retyped} {
+		for _, wc := range []bool{false, true} {
+			env := simenv.NewImmediate()
+			svc := s3.New(s3.Config{})
+			svc.MustCreateBucket("x")
+			opts := Options{
+				Variant: Variant{Levels: 1, WriteCombining: wc},
+				Buckets: []string{"x"},
+				Prefix:  "q11",
+				Poll:    time.Millisecond,
+				MaxWait: time.Second,
+			}
+			const parts = 2
+			b := Boundary{Stage: 0, Senders: 2, Partitions: parts}
+			client := s3.NewClient(svc, env)
+			if err := PublishStage(client, opts, b, 0, stageTestChunk(0, 20), []string{"k"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := PublishStage(client, opts, b, 1, odd, []string{"k"}); err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < parts; p++ {
+				if res, err := CollectStage(client, opts, b, p); err == nil {
+					t.Fatalf("wc=%v sender 1 schema (%s): partition %d collected %d rows, want an error",
+						wc, odd.Schema, p, res.NumRows())
+				}
+			}
+		}
+	}
+}
+
+// FuzzParseCommitName: commit names arrive from S3 List and are untrusted.
+// Parsing never panics, and a write-combined name that parses carries
+// exactly slots+1 non-decreasing offsets. Every name commitKey formats
+// round-trips, except that one with an offset count other than slots+1 is
+// refused.
+func FuzzParseCommitName(f *testing.F) {
+	f.Fuzz(func(t *testing.T, name string, writer, attempt int, nOff uint8, wc bool) {
+		const slots = 4
+		r := round{
+			opts:  Options{Prefix: "q", Variant: Variant{Levels: 1, WriteCombining: wc}},
+			stage: 1, ns: "snd", w0: 0, w1: 1 << 20, s0: 0, s1: slots,
+		}
+		if _, c, err := r.parseCommit(name); err == nil {
+			if wc != (c.offsets != nil) || wc && len(c.offsets) != slots+1 {
+				t.Fatalf("%q (wc=%v) parsed with offsets %v", name, wc, c.offsets)
+			}
+			for i := 1; i < len(c.offsets); i++ {
+				if c.offsets[i] < c.offsets[i-1] {
+					t.Fatalf("%q parsed with inverted offsets %v", name, c.offsets)
+				}
+			}
+		}
+		if writer < r.w0 || writer >= r.w1 || attempt < 0 {
+			return
+		}
+		var offsets []int64
+		if wc {
+			offsets = make([]int64, nOff%16)
+			for i := range offsets {
+				offsets[i] = int64(i) * int64(nOff)
+			}
+		}
+		key := r.commitKey(writer, attempt, offsets)
+		w, c, err := r.parseCommit(key)
+		if wc && len(offsets) != slots+1 {
+			if err == nil {
+				t.Fatalf("%q: %d offsets for %d slots accepted", key, len(offsets), slots)
+			}
+			return
+		}
+		if err != nil || w != writer || c.attempt != attempt || !slices.Equal(c.offsets, offsets) {
+			t.Fatalf("%q parsed as writer %d attempt %d offsets %v (err %v), want %d %d %v",
+				key, w, c.attempt, c.offsets, err, writer, attempt, offsets)
+		}
+	})
 }
