@@ -1,8 +1,11 @@
 GO ?= go
 # bench-json knobs: the PR-numbered output file, the previous PR's file the
 # comparability check runs against, and the per-benchmark time.
-BENCH_JSON ?= BENCH_PR10.json
-BENCH_BASELINE ?= BENCH_PR9.json
+# The default output starts the num_cpu=2 series. Every earlier BENCH file
+# ran on one CPU and can never be its baseline, so the default baseline is
+# empty (no comparability check) until the series has a second point.
+BENCH_JSON ?= BENCH_PR14.json
+BENCH_BASELINE ?=
 BENCHTIME ?= 300ms
 # trace-smoke output file (Chrome trace-event JSON; also the CI artifact).
 TRACE_OUT ?= trace-smoke.json
@@ -65,9 +68,9 @@ bench:
 # on a different CPU count: such points must never be compared. Non-gating
 # in CI.
 bench-json:
-	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) -baseline $(BENCH_BASELINE) \
+	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) -baseline=$(BENCH_BASELINE) \
 		-require-same-cpu -benchtime $(BENCHTIME) \
-		./internal/engine ./internal/scan ./internal/exchange ./internal/driver
+		./internal/engine ./internal/scan ./internal/lpq ./internal/exchange ./internal/driver
 
 # bench-quick builds the repository benchmark (perfbench, a module of its
 # own) from this checkout and runs every workload at a fifth of the data;

@@ -76,3 +76,46 @@ func BenchmarkPartitionHash(b *testing.B) {
 	}
 	_ = acc
 }
+
+// BenchmarkPublishStage publishes one sender's 100-row chunk to 64
+// partitions, the shape of a shuffle boundary's many tiny files, in the
+// basic and write-combining layouts. TestPublishStageAllocGuard pins the
+// basic layout's B/op.
+func BenchmarkPublishStage(b *testing.B) {
+	for _, wc := range []bool{false, true} {
+		name := "basic"
+		if wc {
+			name = "wc"
+		}
+		b.Run(name, func(b *testing.B) { benchmarkPublishStage(b, wc) })
+	}
+}
+
+func benchmarkPublishStage(b *testing.B, wc bool) {
+	const rows, parts = 100, 64
+	schema := columnar.NewSchema(
+		columnar.Field{Name: "k", Type: columnar.Int64},
+		columnar.Field{Name: "v", Type: columnar.Float64},
+		columnar.Field{Name: "f", Type: columnar.Bool},
+	)
+	c := columnar.NewChunk(schema, rows)
+	for r := 0; r < rows; r++ {
+		c.Columns[0].AppendInt64(int64(r * 7919))
+		c.Columns[1].AppendFloat64(float64(r) / 4)
+		c.Columns[2].AppendBool(r%3 == 0)
+	}
+	svc := s3.New(s3.Config{})
+	svc.MustCreateBucket("x")
+	client := s3.NewClient(svc, simenv.NewImmediate())
+	opts := DefaultOptions(Variant{Levels: 1, WriteCombining: wc}, "x")
+	bd := Boundary{Stage: 0, Senders: 1, Partitions: parts}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// The same attempt every iteration: each publish overwrites the
+		// last, so the simulated store does not grow with b.N.
+		if err := PublishStage(client, opts, bd, 0, c, []string{"k"}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

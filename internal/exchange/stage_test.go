@@ -497,3 +497,14 @@ func FuzzParseCommitName(f *testing.F) {
 		}
 	})
 }
+
+// TestPublishStageAllocGuard: publishing a 100-row chunk to 64 partitions
+// allocates for the rows it writes. Sizing every partition file's row
+// buffer to a full row group cost about 350 MB per publish.
+func TestPublishStageAllocGuard(t *testing.T) {
+	const limit = 2 << 20
+	got := testing.Benchmark(func(b *testing.B) { benchmarkPublishStage(b, false) }).AllocedBytesPerOp()
+	if got > limit {
+		t.Fatalf("PublishStage of 100 rows to 64 partitions allocates %d B/op, limit %d", got, limit)
+	}
+}

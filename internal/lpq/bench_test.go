@@ -105,3 +105,19 @@ func BenchmarkDecodeDelta(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWriteSmallFile writes the kind of file the exchange and result
+// collection write by the thousand: 100 rows, three columns, default
+// options. Its B/op must track the rows written, not the row-group size
+// (TestWriteSmallFileAllocGuard pins it).
+func BenchmarkWriteSmallFile(b *testing.B) {
+	data := makeChunk(100, 1)
+	b.ReportAllocs()
+	b.SetBytes(data.ByteSize())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := WriteFile(testSchema(), WriterOptions{}, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -399,6 +399,10 @@ func decodeDict(data []byte, t columnar.Type, n int) (*columnar.Vector, error) {
 	return v, nil
 }
 
+// maxDictDistinct is the most distinct values a column chunk may have for
+// the automatic choice to pick Dict.
+const maxDictDistinct = 4096
+
 // ChooseEncoding picks a light-weight encoding for a vector by simple
 // analysis: sorted ints get Delta, runs get RLE, low-cardinality columns get
 // Dict, everything else Plain.
@@ -419,7 +423,7 @@ func ChooseEncoding(v *columnar.Vector) Encoding {
 			if v.Int64s[i] != v.Int64s[i-1] {
 				runs++
 			}
-			if len(distinct) <= 4096 {
+			if len(distinct) <= maxDictDistinct {
 				distinct[v.Int64s[i]] = struct{}{}
 			}
 		}
@@ -428,7 +432,7 @@ func ChooseEncoding(v *columnar.Vector) Encoding {
 			return RLE
 		case sorted:
 			return Delta
-		case len(distinct) <= 4096 && len(distinct) <= n/4:
+		case len(distinct) <= maxDictDistinct && len(distinct) <= n/4:
 			return Dict
 		default:
 			return Plain
@@ -437,7 +441,7 @@ func ChooseEncoding(v *columnar.Vector) Encoding {
 		distinct := map[float64]struct{}{}
 		for _, x := range v.Float64s {
 			distinct[x] = struct{}{}
-			if len(distinct) > 4096 {
+			if len(distinct) > maxDictDistinct {
 				return Plain
 			}
 		}

@@ -419,7 +419,10 @@ func decodeFooter(data []byte, v2 bool) (*FileMeta, error) {
 
 // distinctEstimate counts a vector's distinct values. Exact: row groups
 // hold at most WriterOptions.RowGroupRows values, small enough for a map
-// pass at write time.
+// pass at write time. The writer takes this count from its single
+// profiling pass (Writer.profile), which shares one distinct set with the
+// encoding choice; this standalone form is the reference that pass is
+// tested against.
 func distinctEstimate(v *columnar.Vector) int64 {
 	switch v.Type {
 	case columnar.Int64:

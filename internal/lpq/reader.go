@@ -136,7 +136,7 @@ func DecodeColumnChunkBuf(stored []byte, t columnar.Type, cc ColumnChunkMeta, nu
 			if err != nil {
 				return nil, scratch, err
 			}
-			appendAll(out, v)
+			out.AppendVector(v)
 			total += pg.NumRows
 		}
 		if total != numRows {
@@ -218,7 +218,7 @@ func (r *Reader) ReadAll() (*columnar.Chunk, error) {
 			return nil, err
 		}
 		for j := range out.Columns {
-			appendAll(out.Columns[j], c.Columns[j])
+			out.Columns[j].AppendVector(c.Columns[j])
 		}
 	}
 	return out, nil

@@ -12,7 +12,9 @@ import (
 
 // WriterOptions configure file layout.
 type WriterOptions struct {
-	// RowGroupRows is the number of rows per row group (default 131072).
+	// RowGroupRows is the maximum number of rows buffered per row group
+	// (default 131072). The buffer grows with the data, so a file of a few
+	// rows allocates for those rows, not for a full row group.
 	RowGroupRows int
 	// Compression is the heavy-weight scheme applied to every column chunk
 	// after encoding (default None).
@@ -46,6 +48,10 @@ type Writer struct {
 	meta   FileMeta
 	offset int64
 	closed bool
+	// ints and floats are profile's distinct sets, cleared and reused for
+	// every column chunk the writer flushes.
+	ints   map[int64]struct{}
+	floats map[float64]struct{}
 }
 
 // NewWriter returns a writer emitting to w with the given schema.
@@ -60,7 +66,7 @@ func NewWriter(w io.Writer, schema *columnar.Schema, opts WriterOptions) *Writer
 		w:      w,
 		opts:   opts,
 		schema: schema,
-		buf:    columnar.NewChunk(schema, opts.RowGroupRows),
+		buf:    columnar.NewChunk(schema, 0),
 		meta:   FileMeta{Schema: schema},
 	}
 }
@@ -76,15 +82,11 @@ func (w *Writer) Write(c *columnar.Chunk) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	for row := 0; row < c.NumRows(); {
-		space := w.opts.RowGroupRows - w.buf.NumRows()
-		take := c.NumRows() - row
-		if take > space {
-			take = space
-		}
-		part := c.Slice(row, row+take)
-		for j := range w.buf.Columns {
-			appendAll(w.buf.Columns[j], part.Columns[j])
+	n := c.NumRows()
+	for row := 0; row < n; {
+		take := min(n-row, w.opts.RowGroupRows-w.buf.NumRows())
+		for j, dst := range w.buf.Columns {
+			dst.AppendVector(c.Columns[j].Slice(row, row+take))
 		}
 		row += take
 		if w.buf.NumRows() >= w.opts.RowGroupRows {
@@ -96,15 +98,70 @@ func (w *Writer) Write(c *columnar.Chunk) error {
 	return nil
 }
 
-func appendAll(dst, src *columnar.Vector) {
-	switch dst.Type {
-	case columnar.Int64:
-		dst.Int64s = append(dst.Int64s, src.Int64s...)
-	case columnar.Float64:
-		dst.Float64s = append(dst.Float64s, src.Float64s...)
-	case columnar.Bool:
-		dst.Bools = append(dst.Bools, src.Bools...)
+// profile is the writer's single pass over a column chunk. It returns the
+// automatic encoding, exactly ChooseEncoding(v), and the exact distinct
+// count, exactly distinctEstimate(v), from one distinct set that the writer
+// clears and reuses for every chunk.
+func (w *Writer) profile(v *columnar.Vector) (Encoding, int64) {
+	n := v.Len()
+	if n == 0 {
+		return Plain, 0
 	}
+	enc := Plain
+	switch v.Type {
+	case columnar.Int64:
+		w.ints = emptySet(w.ints)
+		xs := v.Int64s
+		sorted, runs := true, 1
+		w.ints[xs[0]] = struct{}{}
+		for i := 1; i < n; i++ {
+			if xs[i] != xs[i-1] {
+				runs++
+				sorted = sorted && xs[i] > xs[i-1]
+				w.ints[xs[i]] = struct{}{}
+			}
+		}
+		d := len(w.ints)
+		switch {
+		case runs <= n/4:
+			enc = RLE
+		case sorted:
+			enc = Delta
+		case d <= maxDictDistinct && d <= n/4:
+			enc = Dict
+		}
+		return enc, int64(d)
+	case columnar.Float64:
+		w.floats = emptySet(w.floats)
+		for _, x := range v.Float64s {
+			w.floats[x] = struct{}{}
+		}
+		d := len(w.floats)
+		if d <= maxDictDistinct && d <= n/4 {
+			enc = Dict
+		}
+		return enc, int64(d)
+	default:
+		runs := 1
+		for i := 1; i < n; i++ {
+			if v.Bools[i] != v.Bools[i-1] {
+				runs++
+			}
+		}
+		if runs <= n/4 {
+			enc = RLE
+		}
+		return enc, int64(min(runs, 2))
+	}
+}
+
+// emptySet returns s cleared, allocating it on first use.
+func emptySet[K comparable](s map[K]struct{}) map[K]struct{} {
+	if s == nil {
+		return make(map[K]struct{}, 64)
+	}
+	clear(s)
+	return s
 }
 
 // compress applies the configured heavy-weight compression to raw.
@@ -241,7 +298,7 @@ func (w *Writer) flushRowGroup() error {
 	}
 	rg := RowGroupMeta{NumRows: int64(n)}
 	for j, col := range w.buf.Columns {
-		enc := ChooseEncoding(col)
+		enc, distinct := w.profile(col)
 		if forced, ok := w.opts.ForceEncoding[j]; ok {
 			enc = forced
 		}
@@ -261,7 +318,7 @@ func (w *Writer) flushRowGroup() error {
 			cc.Stats = computeStats(col)
 		}
 		if !w.opts.FormatV1 {
-			cc.DistinctEst = distinctEstimate(col)
+			cc.DistinctEst = distinct
 			// The columnar layer stores no nulls; the footer records that
 			// fact exactly rather than leaving the count unknown.
 			cc.NullCount = 0
@@ -279,7 +336,9 @@ func (w *Writer) flushRowGroup() error {
 	}
 	w.meta.RowGroups = append(w.meta.RowGroups, rg)
 	w.meta.TotalRows += int64(n)
-	w.buf = columnar.NewChunk(w.schema, w.opts.RowGroupRows)
+	for _, col := range w.buf.Columns {
+		col.Reset()
+	}
 	return nil
 }
 
