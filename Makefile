@@ -22,12 +22,13 @@ race:
 	$(GO) test -race ./...
 
 # race-staged runs the staged-execution suites (scheduler, speculation,
-# epoch fencing, exchange boundaries, stage planner, and the DES/notify
-# primitives under them) race-instrumented at a fixed GOMAXPROCS so
-# goroutine interleavings actually happen on 1-CPU runners. -short skips
+# epoch fencing, the shared admission controller, exchange boundaries,
+# stage planner, and the DES/notify primitives under them)
+# race-instrumented at a fixed GOMAXPROCS so goroutine interleavings
+# actually happen on 1-CPU runners. -short skips
 # the 1k-worker scale smoke, which runs uninstrumented via scale-smoke.
 race-staged:
-	GOMAXPROCS=4 $(GO) test -race -short ./internal/driver/ ./internal/exchange/ ./internal/stageplan/ ./internal/simclock/ ./internal/awssim/dynamo/ ./internal/lpq/ ./internal/scan/
+	GOMAXPROCS=4 $(GO) test -race -short ./internal/driver/ ./internal/invoke/ ./internal/exchange/ ./internal/stageplan/ ./internal/simclock/ ./internal/awssim/dynamo/ ./internal/lpq/ ./internal/scan/
 
 # scale-smoke is the multi-level acceptance point: staged q12 on the DES
 # kernel at 512 partitions (a 1k+ worker fleet), checking the resolved
@@ -41,11 +42,12 @@ scale-smoke:
 # chaos runs the deterministic fault-injection suites race-instrumented:
 # the injector/resilience unit tests, the per-service fault tests, and the
 # driver chaos acceptance tests (staged q12 under a seeded fault storm must
-# replay exactly and still produce the fault-free answer).
+# replay exactly and still produce the fault-free answer; single-scope
+# queries must survive duplicate delivery and relaunch failure seals).
 chaos:
 	GOMAXPROCS=4 $(GO) test -race ./internal/awssim/faults/ ./internal/resilience/
 	GOMAXPROCS=4 $(GO) test -race \
-		-run 'Chaos|Injected|ClientRetries|ClientBudget|EpochSweep|SingleScopeDuplicate' \
+		-run 'Chaos|Injected|ClientRetries|ClientBudget|EpochSweep|SingleScope' \
 		./internal/awssim/s3/ ./internal/awssim/sqs/ ./internal/awssim/dynamo/ \
 		./internal/awssim/lambdasvc/ ./internal/driver/
 

@@ -158,7 +158,11 @@
 // overlap upstream execution, and the DynamoDB ready marker — written when
 // the driver has seen every producer seal through the SQS result queue —
 // gates each worker's collect instead of its launch. Wave-gated launch
-// remains available for comparison (BenchmarkStagedWaves).
+// remains available for comparison (BenchmarkStagedWaves). This loop is the
+// driver's only result collector: a single-scope query (RunPlan) runs on it
+// as one stage with no dependencies and no fence — epoch 0, no ready
+// marker, no purge or sweep — so launch, admission, failure-seal relaunch,
+// speculation and the worker-order merge are the same code for both.
 //
 // Straggler speculation (§5.5's aggressive-timeouts-and-retries theme)
 // applies per stage: once a quorum of a stage's workers sealed and a
@@ -257,10 +261,11 @@
 //
 // Admission replaces per-query invocation pacing with a deployment-wide
 // budget (invoke.Admission, Config.MaxInFlight): every invocation across
-// all live queries acquires a slot, released by the Lambda service's
-// completion hook. Staged launches acquire partially — a stage launches
-// as many workers as there are free slots and the remainder as slots free
-// up — so N queries make progress under one cap instead of deadlocking on
+// all live queries takes a slot, released by the Lambda service's
+// completion hook. The scheduler launches every fleet — single-scope or
+// staged — one non-blocking slot at a time: a stage launches as many
+// workers as there are free slots and the remainder as slots free up, so
+// N queries make progress under one cap instead of deadlocking on
 // whole-fleet acquisition; recovery and speculation re-invokes use an
 // overflow class that may exceed the cap rather than wait behind the very
 // queries they are unsticking. The interleaved-session test pins the
@@ -331,7 +336,8 @@
 // is off. Spans form a tree:
 //
 //	query    one driver query (RunPlan/RunPlanStaged)
-//	stage    one stage of a staged execution
+//	stage    one stage of the query (a single-scope query has one,
+//	         stage-0)
 //	invoke   one Lambda worker invocation (an attempt; tags carry worker,
 //	         cold, attempt, fault/timeout outcomes, rows and bytes moved)
 //	op       one substrate call (s3.getrange, sqs.Receive, dynamo.PutIf,

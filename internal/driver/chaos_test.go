@@ -315,9 +315,9 @@ func TestStagedChaosBudgetExhaustionFailureSeal(t *testing.T) {
 	}
 }
 
-// TestSingleScopeDuplicateResultDelivery is the satellite-1 regression: an
-// at-least-once result queue that redelivers EVERY worker result must not
-// corrupt single-scope collection — drainResults dedups by worker identity.
+// TestSingleScopeDuplicateResultDelivery: an at-least-once result queue that
+// redelivers EVERY worker result must not corrupt single-scope collection —
+// the scheduler keeps the first seal per worker and discards the rest.
 func TestSingleScopeDuplicateResultDelivery(t *testing.T) {
 	const sql = `
 SELECT l_suppkey, COUNT(*) AS n, MIN(l_orderkey) AS first_ord

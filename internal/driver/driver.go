@@ -139,15 +139,11 @@ type Config struct {
 	FunctionName string
 	// WorkerMemoryMiB is M of §5.2 (default 1792: exactly one vCPU).
 	WorkerMemoryMiB int
-	// FilesPerWorker is F of §5.2; the worker count is
-	// ceil(len(files)/F) unless Workers overrides it.
+	// FilesPerWorker is F of §5.2; a scan fleet runs ceil(len(files)/F)
+	// workers.
 	FilesPerWorker int
-	// Workers pins the worker count (0 = derive from FilesPerWorker).
-	Workers int
 	// TreeInvoke enables the two-level invocation tree (§4.2).
 	TreeInvoke bool
-	// InvokeThreads is the driver's requester thread count for pacing.
-	InvokeThreads int
 	// Region selects the Table 1 invocation profile.
 	Region netmodel.Region
 	// Scan configures the S3 scan operator.
@@ -182,12 +178,13 @@ type Config struct {
 	EpochGCInterval int
 	// MaxInFlight, when positive, caps the deployment-wide number of
 	// concurrently running worker containers across every query of the
-	// session: queries acquire invocation tokens from one shared admission
-	// controller (invoke.Admission) before launching, and each settling
+	// session, single-scope and staged alike: the scheduler takes one token
+	// from a shared admission controller (invoke.Admission) per worker it
+	// launches, launching directly and never blocking, and each settling
 	// container releases one. It replaces per-query DriverPacing as the
 	// launch governor — the shared pacer splits the region's Invoke API
-	// rate across concurrent queries. 0 keeps the legacy per-query pacing
-	// with no concurrency cap.
+	// rate across concurrent queries. 0 keeps per-query pacing (and the
+	// invocation tree) with no concurrency cap.
 	MaxInFlight int
 	// ResultCacheEntries, when positive, enables the session's result
 	// cache: staged query results are memoized by (plan fingerprint, table
@@ -209,7 +206,6 @@ func DefaultConfig() Config {
 		WorkerMemoryMiB: 1792,
 		FilesPerWorker:  1,
 		TreeInvoke:      true,
-		InvokeThreads:   1,
 		Region:          netmodel.RegionEU,
 		Scan:            scan.DefaultConfig(),
 		Timeout:         5 * time.Minute,

@@ -11,7 +11,6 @@ import (
 	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
-	"lambada/internal/awssim/sqs"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
 	"lambada/internal/invoke"
@@ -19,6 +18,7 @@ import (
 	"lambada/internal/obs"
 	"lambada/internal/scan"
 	"lambada/internal/sqlfe"
+	"lambada/internal/stageplan"
 )
 
 // Report summarizes one query execution.
@@ -46,9 +46,9 @@ type Report struct {
 	// Speculated counts backup invocations issued for stragglers (summed
 	// over stages in staged executions).
 	Speculated int
-	// FailureSeals counts retryable worker failure seals the staged
-	// scheduler absorbed by re-invoking the fragment (0 when every worker
-	// succeeded first try).
+	// FailureSeals counts retryable worker failure seals the scheduler
+	// absorbed by re-invoking the fragment (0 when every worker succeeded
+	// first try).
 	FailureSeals int
 	// DriverRetries and WorkerRetries count substrate-call retries the
 	// resilience layer spent on this query, on the driver side and summed
@@ -160,12 +160,13 @@ func (d *query) quiesce() {
 	}
 }
 
-// fillCostDelta records what the query cost: the meter movement since the
-// snapshot, per label and in total.
+// fillCostDelta records what the query cost: the meter movement since
+// begin's snapshot, per label and in total.
 // Note that the meters are deployment-wide: when other queries of the
 // session overlap this one's window, their spend shows up in this delta
 // too — exact per-query attribution needs tracing (Report.Profile).
-func (d *query) fillCostDelta(rep *Report, before costSnap) {
+func (d *query) fillCostDelta(rep *Report) {
+	before := d.before
 	rep.CostDelta = map[string]float64{}
 	for _, l := range d.dep.Meter.Labels() {
 		delta := float64(d.dep.Meter.Get(l)) - before.cost[l]
@@ -183,99 +184,6 @@ func (d *query) fillCostDelta(rep *Report, before costSnap) {
 	if d.dep.Faults != nil {
 		rep.InjectedFaults = d.dep.Faults.Injected()
 	}
-}
-
-// drainResults collects one result per worker of a single-scope query from
-// its result queue (§3.3: "the driver polls until it has heard back from
-// all workers") and decodes their chunks in arrival order. It discards
-// leftovers of earlier aborted queries (a query failing mid-flight returns
-// before its remaining workers post; their messages must not poison the
-// next query on the same driver) and — SQS being at-least-once, and backup
-// pairs both answering — duplicate completions of a worker, which would
-// otherwise under-collect the remaining workers. Worker errors fail the
-// query.
-//
-// With Config.Speculate on, every received batch is followed by a straggler
-// step: once the shared policy arms, each missing worker's payload is
-// re-invoked as its next attempt (backup requests), the first result per
-// worker winning; span parents the backups' invocation spans. The staged
-// scheduler has its own event loop (stage.go) with the same queryID discard
-// plus per-(stage,worker) attempt dedup.
-func (d *query) drainResults(payloads [][]byte, launchAt time.Duration, span obs.SpanID) (chunks []*columnar.Chunk, processing []time.Duration, cold, speculated int, err error) {
-	n := len(payloads)
-	deadline := d.env.Now() + d.cfg.MaxWait
-	seen := make(map[int]bool, n)
-	pol := newStragglerPolicy(d.cfg.Speculate, n, launchAt)
-	for len(seen) < n {
-		var msgs []sqs.Message
-		if err := d.retry.policy.Do(d.env, "sqs.Receive", func() error {
-			var rerr error
-			msgs, rerr = d.dep.SQS.Receive(d.env, d.cfg.ResultQueue, 10)
-			return rerr
-		}); err != nil {
-			return nil, nil, 0, 0, fmt.Errorf("driver: collecting results: %w", err)
-		}
-		for _, m := range msgs {
-			var rm resultMsg
-			if err := json.Unmarshal(m.Body, &rm); err != nil {
-				return nil, nil, 0, 0, err
-			}
-			if rm.QueryID != d.id || rm.Stage != 0 || rm.Epoch != 0 {
-				// Leftover of an earlier aborted query — including a zombie
-				// worker of an aborted STAGED run whose query numbering
-				// collides with this single-scope query's: its message
-				// carries a stage or epoch and single-scope workers post
-				// neither. (A single-scope zombie against a single-scope
-				// retry remains indistinguishable — only staged runs carry
-				// the epoch fence.)
-				continue
-			}
-			if seen[rm.WorkerID] {
-				continue // duplicate delivery, or the losing half of a backup pair
-			}
-			if rm.Err != "" {
-				return nil, nil, 0, 0, fmt.Errorf("driver: worker %d failed: %s", rm.WorkerID, rm.Err)
-			}
-			seen[rm.WorkerID] = true
-			d.workerRetries += rm.Retries
-			pol.record(d.env.Now())
-			if rm.Cold {
-				cold++
-			}
-			processing = append(processing, time.Duration(rm.ProcessingNs))
-			if len(rm.Chunk) > 0 {
-				c, err := decodeChunk(rm.Chunk)
-				if err != nil {
-					return nil, nil, 0, 0, err
-				}
-				chunks = append(chunks, c)
-			}
-		}
-		if len(seen) == n {
-			break
-		}
-		for _, w := range pol.stragglers(d.env.Now(), func(w int) bool { return seen[w] }, 0) {
-			speculated++
-			body, err := reattempt(payloads[w], pol.attempts[w])
-			if err != nil {
-				return nil, nil, 0, 0, err
-			}
-			if err := d.invokeOne(body, w, span); err != nil {
-				return nil, nil, 0, 0, fmt.Errorf("driver: backup invocation of worker %d: %w", w, err)
-			}
-		}
-		if d.env.Now() >= deadline {
-			return nil, nil, 0, 0, fmt.Errorf("driver: %d results missing after %v", n-len(seen), d.cfg.MaxWait)
-		}
-		if len(msgs) == 0 {
-			// Park on the result queue's completion topic — wake at the next
-			// message's exact arrival instant, timed poll fallback (which
-			// also paces the straggler step); sends to other queues (or
-			// other substrate writes) leave us parked.
-			simenv.WaitNotifyKey(d.env, "sqs/"+d.cfg.ResultQueue, d.cfg.PollInterval)
-		}
-	}
-	return chunks, processing, cold, speculated, nil
 }
 
 // decodeChunk reads a result message's lpq blob.
@@ -307,22 +215,8 @@ func (d *query) runPlan(plan engine.Plan, table string, files []scan.FileRef, br
 	if len(files) == 0 {
 		return nil, nil, fmt.Errorf("driver: no input files")
 	}
-	queryID := d.id
-
-	costBefore := d.costSnapshot()
-	startTime := d.env.Now()
-
-	// Query span: the root of this query's span tree. Binding it to the
-	// driver environment routes every driver-side billed request (schema
-	// reads, invokes, result polling) into op spans beneath it; Release in
-	// the defer closes any still-open driver-side span on error paths.
-	tr := d.dep.Trace
-	var qspan obs.SpanID
-	if tr.Enabled() {
-		qspan = tr.StartSpan(obs.KindQuery, queryID, 0, startTime)
-		tr.Bind(d.env, qspan)
-		defer func() { tr.Release(d.env, d.env.Now()) }()
-	}
+	rep := d.begin()
+	defer d.release()
 
 	// Resolve the table schema from the first file's footer (driver-side
 	// metadata read).
@@ -358,17 +252,10 @@ func (d *query) runPlan(plan engine.Plan, table string, files []scan.FileRef, br
 	}
 
 	// Assign files to workers (contiguous ranges of F files each).
-	workers := d.cfg.Workers
-	if workers <= 0 {
-		f := d.cfg.FilesPerWorker
-		workers = (len(files) + f - 1) / f
-	}
-	if workers > len(files) {
-		workers = len(files)
-	}
-	payloads := make([][]byte, workers)
+	workers := (len(files) + d.cfg.FilesPerWorker - 1) / d.cfg.FilesPerWorker
+	payloads := make([]workerPayload, workers)
 	per := (len(files) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
+	for w := range payloads {
 		lo := w * per
 		hi := lo + per
 		if hi > len(files) {
@@ -377,8 +264,8 @@ func (d *query) runPlan(plan engine.Plan, table string, files []scan.FileRef, br
 		if lo > hi {
 			lo = hi
 		}
-		p := workerPayload{
-			QueryID:     queryID,
+		payloads[w] = workerPayload{
+			QueryID:     d.id,
 			WorkerID:    w,
 			NumWorkers:  workers,
 			Plan:        workerPlanJSON,
@@ -387,73 +274,84 @@ func (d *query) runPlan(plan engine.Plan, table string, files []scan.FileRef, br
 			ResultQueue: d.cfg.ResultQueue,
 			Broadcast:   blobs,
 		}
-		body, err := json.Marshal(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		payloads[w] = body
 	}
 
-	// Invoke the fleet.
-	invokeStart := d.env.Now()
-	if err := d.invokeAll(payloads, qspan); err != nil {
-		return nil, nil, err
-	}
-	invocation := d.env.Now() - invokeStart
-
-	// Collect results from the SQS queue, with optional straggler
-	// speculation (backup requests).
-	chunks, processing, cold, speculated, err := d.drainResults(payloads, invokeStart, qspan)
+	// One run with no dependencies and no fence: epoch 0 and no seal table,
+	// so it writes no ready marker, and with no boundary there is nothing
+	// to purge or sweep.
+	run := &stageRun{st: &stageplan.Stage{}, payloads: payloads, winners: map[int]int{}}
+	chunks, err := d.schedule([]*stageRun{run}, 0, 0, "", StageConfig{}, rep)
 	if err != nil {
 		return nil, nil, err
 	}
-	sort.Slice(processing, func(i, j int) bool { return processing[i] < processing[j] })
-
-	// Driver scope: merge worker results.
-	ws, err := dist.Worker.OutSchema()
+	result, err := mergeResults(chunks, dist.Worker, dist.Driver)
 	if err != nil {
 		return nil, nil, err
 	}
-	dcat := engine.Catalog{engine.WorkerResultTable: engine.NewMemSource(ws, chunks...)}
-	result, err := engine.Execute(dist.Driver, dcat)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Close the cost window only after every invocation — speculation
-	// losers included — finished billing, so per-span attribution and the
-	// Report deltas agree exactly (no-op when tracing is off).
-	d.quiesce()
-	endTime := d.env.Now()
-	rep := &Report{
-		QueryID:          queryID,
-		Workers:          workers,
-		Duration:         endTime - startTime,
-		Invocation:       invocation,
-		WorkerProcessing: processing,
-		ColdWorkers:      cold,
-		Speculated:       speculated,
-	}
-	if tr.Enabled() {
-		tr.EndSpan(qspan, endTime)
-		rep.Trace, rep.Span = tr, qspan
-	}
-	d.fillCostDelta(rep, costBefore)
+	d.finish(rep)
 	return result, rep, nil
 }
 
-// invokeOne launches a single worker payload (used by backup requests).
-// Like every substrate call the driver makes, it runs under the query's
-// retry policy: transient invoke errors retry with backoff, quota
-// rejections (throttle-class Invoke errors are permanent capacity answers,
-// not blips) and payload errors stay fatal. span parents the invocation's
-// trace span — the stage span on staged runs, the query span otherwise.
+// begin opens the query's report and cost window: it snapshots the meter
+// and, on traced runs, opens the query span — the root of the query's span
+// tree — and binds it to the driver environment, routing every driver-side
+// billed request (schema reads, the epoch fence, sweeps, invokes, result
+// polling) into op spans beneath it. Callers defer release.
+func (d *query) begin() *Report {
+	d.before = d.costSnapshot()
+	d.start = d.env.Now()
+	rep := &Report{QueryID: d.id}
+	if tr := d.dep.Trace; tr.Enabled() {
+		rep.Span = tr.StartSpan(obs.KindQuery, d.id, 0, d.start)
+		tr.Bind(d.env, rep.Span)
+	}
+	return rep
+}
+
+// release closes any still-open driver-side span (error paths included).
+func (d *query) release() {
+	if tr := d.dep.Trace; tr.Enabled() {
+		tr.Release(d.env, d.env.Now())
+	}
+}
+
+// mergeResults runs the driver scope (§3.2) over the result stage's
+// outputs: workerPlan gives their schema, driverPlan merges them.
+func mergeResults(chunks []*columnar.Chunk, workerPlan, driverPlan engine.Plan) (*columnar.Chunk, error) {
+	ws, err := workerPlan.OutSchema()
+	if err != nil {
+		return nil, err
+	}
+	return engine.Execute(driverPlan, engine.Catalog{engine.WorkerResultTable: engine.NewMemSource(ws, chunks...)})
+}
+
+// finish closes the report and the cost window. The window closes only
+// after every invocation — speculation and relaunch losers included —
+// finished billing, so per-span attribution and the Report deltas agree
+// exactly (no-op when tracing is off).
+func (d *query) finish(rep *Report) {
+	sort.Slice(rep.WorkerProcessing, func(i, j int) bool { return rep.WorkerProcessing[i] < rep.WorkerProcessing[j] })
+	d.quiesce()
+	end := d.env.Now()
+	rep.Duration = end - d.start
+	if tr := d.dep.Trace; tr.Enabled() {
+		tr.EndSpan(rep.Span, end)
+		rep.Trace = tr
+	}
+	d.fillCostDelta(rep)
+}
+
+// invokeOne launches a single worker payload (failure relaunches and
+// speculation backups). Like every substrate call the driver makes, it runs
+// under the query's retry policy: transient invoke errors retry with
+// backoff, quota rejections (throttle-class Invoke errors are permanent
+// capacity answers, not blips) and payload errors stay fatal. span parents
+// the invocation's trace span.
 func (d *query) invokeOne(payload []byte, workerID int, span obs.SpanID) error {
 	adm := d.s.admission
-	// Recovery traffic — failure relaunches and speculation backups — must
-	// not queue behind tokens held by workers parked on the very fragment
-	// being recovered, so it is admitted past the cap (counted in Overflow)
-	// instead of blocking.
+	// Recovery traffic must not queue behind tokens held by workers parked
+	// on the very fragment being recovered, so it is admitted past the cap
+	// (counted in Overflow) instead of waiting.
 	adm.AcquireOverflow(d.env)
 	adm.Pace(d.env)
 	if err := d.retry.policy.Do(d.env, "lambda.Invoke", func() error {
@@ -461,57 +359,38 @@ func (d *query) invokeOne(payload []byte, workerID int, span obs.SpanID) error {
 			lambdasvc.InvokeOptions{WorkerID: workerID, Pipelined: true, Span: span})
 	}); err != nil {
 		// Invoke fails before any container spawns: hand the token back.
-		adm.Release(d.env, 1)
+		adm.Release(d.env)
 		return err
 	}
 	return nil
 }
 
-// invokeAll launches the fleet, directly or via the two-level tree; span
-// parents the invocation spans (tree children parent under their invoking
-// first-generation worker instead, mirroring the real invocation topology).
+// invokeAll launches a fleet without admission, directly or via the
+// two-level tree; span parents the invocation spans (tree children parent
+// under their invoking first-generation worker instead, mirroring the real
+// invocation topology). Under admission the scheduler launches one worker
+// at a time instead.
 func (d *query) invokeAll(payloads [][]byte, span obs.SpanID) error {
-	adm := d.s.admission
 	if !invoke.UseTree(d.cfg.TreeInvoke, len(payloads)) {
-		pacing := invoke.DriverPacing(d.cfg.Region, d.cfg.InvokeThreads)
-		// Whole-fleet admission: acquire every token up front — one
-		// blocking call the workers of other queries unblock as they
-		// settle. Single-scope workers never wait on each other, so no
-		// reason remains to take the whole fleet at once on this direct
-		// path (the tree path below still needs it: children launch
-		// worker-side, past the driver); the behaviour is kept as it was.
-		// Nil admission (MaxInFlight 0) keeps the legacy per-query pacing.
-		adm.Acquire(d.env, len(payloads))
-		spawned := 0
+		pacing := invoke.DriverPacing(d.cfg.Region, 1)
 		for i, p := range payloads {
-			// Pipelined: the driver's requester thread pool overlaps the
-			// round trips; the loop paces at the effective rate (Table 1) —
-			// via the shared pacer under admission, per-query otherwise.
+			// Pipelined: the driver's requester thread overlaps the round
+			// trips; the loop paces at the effective rate (Table 1).
 			body, id := p, i
-			adm.Pace(d.env)
 			if err := d.retry.policy.Do(d.env, "lambda.Invoke", func() error {
 				return d.dep.Lambda.Invoke(d.env, d.cfg.FunctionName, body, lambdasvc.InvokeOptions{WorkerID: id, Pipelined: true, Span: span})
 			}); err != nil {
-				// Invoke errors fail before any container spawns: hand the
-				// whole un-launched remainder's tokens back.
-				adm.Release(d.env, len(payloads)-spawned)
 				return err
 			}
-			spawned++
-			if adm == nil {
-				d.env.Sleep(pacing.Gap())
-			}
+			d.env.Sleep(pacing.Gap())
 		}
 		return nil
 	}
 
 	firstGen, children := invoke.TreeFanout(len(payloads))
-	adm.Acquire(d.env, len(payloads))
-	spawned := 0
 	for gi, fg := range firstGen {
 		var p workerPayload
 		if err := json.Unmarshal(payloads[fg], &p); err != nil {
-			adm.Release(d.env, len(payloads)-spawned)
 			return err
 		}
 		for _, child := range children[gi] {
@@ -519,22 +398,14 @@ func (d *query) invokeAll(payloads [][]byte, span obs.SpanID) error {
 		}
 		body, err := json.Marshal(p)
 		if err != nil {
-			adm.Release(d.env, len(payloads)-spawned)
 			return err
 		}
 		id := fg
-		adm.Pace(d.env)
 		if err := d.retry.policy.Do(d.env, "lambda.Invoke", func() error {
 			return d.dep.Lambda.Invoke(d.env, d.cfg.FunctionName, body, lambdasvc.InvokeOptions{WorkerID: id, Span: span})
 		}); err != nil {
-			// The failed node spawned nothing; its token and every
-			// un-invoked node's (1 + children each) go back.
-			adm.Release(d.env, len(payloads)-spawned)
 			return err
 		}
-		// A tree node's Invoke spawns the first-generation worker plus its
-		// embedded children (invoked worker-side, past the driver).
-		spawned += 1 + len(children[gi])
 	}
 	return nil
 }

@@ -42,7 +42,7 @@ type Session struct {
 	epochAcquires int
 
 	// admission is the deployment-wide invocation budget (nil when
-	// Config.MaxInFlight is 0: legacy per-query pacing).
+	// Config.MaxInFlight is 0: per-query pacing).
 	admission *invoke.Admission
 	// cache memoizes staged query results by (plan fingerprint, table
 	// files); nil when Config.ResultCacheEntries is 0.
@@ -99,13 +99,12 @@ func NewSession(dep *Deployment, cfg Config) *Session {
 	}
 	if cfg.MaxInFlight > 0 {
 		s.admission = invoke.NewAdmission(cfg.MaxInFlight,
-			invoke.DriverPacing(cfg.Region, cfg.InvokeThreads),
-			cfg.FunctionName, cfg.PollInterval)
+			invoke.DriverPacing(cfg.Region, 1), cfg.FunctionName)
 		// Exact release accounting: one token back per settling container,
 		// crash paths included — the hook fires wherever the Lambda
 		// service's running gauge decrements.
 		adm := s.admission
-		dep.Lambda.SetCompletionHook(func(env simenv.Env) { adm.Release(env, 1) })
+		dep.Lambda.SetCompletionHook(func(env simenv.Env) { adm.Release(env) })
 	}
 	return s
 }
@@ -177,6 +176,10 @@ type query struct {
 	// workerRetries accumulates the substrate retries this query's workers
 	// reported in their completion messages.
 	workerRetries int64
+	// start and before are the query's start instant and the meter state
+	// at that instant (set by begin).
+	start  time.Duration
+	before costSnap
 }
 
 // queryQueueName derives a query's private result-queue name.
@@ -369,7 +372,10 @@ func (d *Session) RunSQL(env simenv.Env, sql, table string, files []scan.FileRef
 // scope on the driver (§3.2). Joins may reference small driver-side tables
 // in broadcast (nil for none), shipped inside the worker payloads (§3.2's
 // "reading small amounts of data locally that should be broadcasted into
-// the serverless workers").
+// the serverless workers"). The worker fleet runs as one unfenced stage on
+// the same scheduler loop as staged queries — admission, failure-seal
+// relaunch and speculation included — and the driver merges the workers'
+// outputs in worker order.
 func (d *Session) RunPlan(env simenv.Env, plan engine.Plan, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
 	q := d.newQuery(env)
 	defer q.close()

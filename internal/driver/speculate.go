@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"encoding/json"
 	"sort"
 	"time"
 )
@@ -13,11 +12,11 @@ import (
 // counterpart of the aggressive-timeouts-and-retries theme of §5.5
 // (footnote 17): tail latencies propagate, so the driver cuts the tail.
 //
-// The same policy drives both single-scope fleets and the event-driven
-// stage scheduler: each stage of a staged query arms independently over its
-// own fleet, and backups are launched as a new attempt whose exchange
-// boundary names cannot race the original's (first committed attempt wins,
-// the stale-drain collector sweeps the losers).
+// The driver's one scheduler loop applies it per stage — a single-scope
+// query is one stage — and each stage arms independently over its own
+// fleet. Backups are launched as a new attempt whose exchange boundary
+// names cannot race the original's (first committed attempt wins, the
+// stale-drain collector sweeps the losers).
 type SpeculateConfig struct {
 	// Enabled turns speculation on.
 	Enabled bool
@@ -37,9 +36,9 @@ func DefaultSpeculateConfig() SpeculateConfig {
 	return SpeculateConfig{Enabled: true, QuorumFraction: 0.75, LatencyFactor: 3, MaxRetries: 1}
 }
 
-// stragglerPolicy applies SpeculateConfig to one fleet (a single-scope
-// query's workers, or one stage's workers): it records response times as
-// seals arrive and, once a quorum reported and the median-based deadline
+// stragglerPolicy applies SpeculateConfig to one stage's fleet (a
+// single-scope query's workers are one stage): it records response times
+// as seals arrive and, once a quorum reported and the median-based deadline
 // passed, nominates the missing workers for a backup attempt.
 type stragglerPolicy struct {
 	cfg      SpeculateConfig
@@ -71,7 +70,7 @@ func newStragglerPolicy(cfg SpeculateConfig, workers int, launchAt time.Duration
 }
 
 // armCap installs the liveness cap with its clock starting at from. The
-// staged scheduler arms it when the stage becomes runnable — its producers
+// scheduler arms it when the stage becomes runnable — its producers
 // sealed — not at its (possibly pipelined, hence much earlier) launch, so
 // consumers legitimately idling on the ready barrier are not re-invoked.
 func (sp *stragglerPolicy) armCap(cap, from time.Duration) {
@@ -145,16 +144,4 @@ func (sp *stragglerPolicy) stragglers(now time.Duration, reported func(w int) bo
 		out = append(out, w)
 	}
 	return out
-}
-
-// reattempt rewrites a worker payload with the given attempt number — the
-// backup invocation's body. Attempt numbers namespace the worker's exchange
-// publishes and travel back in its seal message.
-func reattempt(payload []byte, attempt int) ([]byte, error) {
-	var p workerPayload
-	if err := json.Unmarshal(payload, &p); err != nil {
-		return nil, err
-	}
-	p.Attempt = attempt
-	return json.Marshal(p)
 }

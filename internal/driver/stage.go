@@ -219,8 +219,9 @@ func (d *query) sweepEpochs(table string) {
 	}
 }
 
-// StageFailure is the structured terminal error of a staged query: a worker
-// posted a failure seal the scheduler could not — or must not — retry away.
+// StageFailure is the structured terminal error of a query: a worker posted
+// a failure seal the scheduler could not — or must not — retry away (Stage
+// is 0 for single-scope queries).
 // Retryable distinguishes an exhausted relaunch budget (transient causes,
 // crash-class errors, spent retry budgets) from a deterministic plan or
 // data error that no relaunch would fix.
@@ -263,7 +264,7 @@ type stageRun struct {
 	// bodies are the marshaled attempt-0 payloads, built on first launch.
 	bodies [][]byte
 	// launched counts workers invoked so far: always the full fleet after
-	// one launch() in legacy mode, possibly a prefix under admission (the
+	// one launch without admission, possibly a prefix under admission (the
 	// scheduler launches as many as TryAcquire grants and resumes from the
 	// cursor on later passes).
 	launched int
@@ -310,29 +311,19 @@ func (d *Driver) RunPlanStaged(plan engine.Plan, tables TableFiles, cfg StageCon
 // runPlanStaged is the per-query scheduler instance: the whole staged state
 // machine runs on the query's private result queue and retry scope, so N of
 // these can interleave on one session, isolated by queryID+epoch and
-// queue-level routing.
+// queue-level routing. Its prologue fences the run and cleans the boundary
+// namespace; schedule then runs the stage DAG.
 func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	if len(tables) == 0 {
 		return nil, nil, fmt.Errorf("driver: no input tables")
 	}
 	queryID := d.id
 
-	costBefore := d.costSnapshot()
-	startTime := d.env.Now()
-
-	// Query span: root of the span tree. Bound to the driver environment so
-	// every driver-side billed request — schema reads, the epoch fence,
-	// sweeps, invokes, seal polling — lands in op spans beneath it; the
-	// deferred Release closes any still-open driver-side span on error
-	// paths. Registered before the boundary-sweep defer below, so the
-	// error-path sweep's requests are still attributed (defers run LIFO).
-	tr := d.dep.Trace
-	var qspan obs.SpanID
-	if tr.Enabled() {
-		qspan = tr.StartSpan(obs.KindQuery, queryID, 0, startTime)
-		tr.Bind(d.env, qspan)
-		defer func() { tr.Release(d.env, d.env.Now()) }()
-	}
+	// The query span is opened before the boundary-sweep defer below, so
+	// the error-path sweep's requests are still attributed (defers run
+	// LIFO).
+	rep := d.begin()
+	defer d.release()
 
 	// Resolve every table's schema from its lpq footers — driver-side
 	// metadata reads only.
@@ -522,7 +513,6 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 	// only on file and partition counts), so pipelined launch can invoke
 	// consumers before their producers seal.
 	runs := make([]*stageRun, 0, len(sp.Stages))
-	byID := map[int]*stageRun{}
 	for _, st := range sp.Stages {
 		ps, err := d.stagePayloads(queryID, epoch, st, sp, scanFiles, workers, blobs, buckets, sealTable, cfg)
 		if err != nil {
@@ -532,11 +522,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		if st.Output != nil {
 			r.boundary = st.Output.Variant
 		}
-		if tr.Enabled() {
-			r.span = tr.StartSpan(obs.KindStage, "stage-"+strconv.Itoa(st.ID), qspan, d.env.Now())
-		}
 		runs = append(runs, r)
-		byID[st.ID] = r
 	}
 
 	// Synthetic regroup fleets: every multi-level boundary gets its own
@@ -552,11 +538,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		if err != nil {
 			return nil, nil, err
 		}
-		if tr.Enabled() {
-			r.span = tr.StartSpan(obs.KindStage, "regroup-"+strconv.Itoa(st.ID), qspan, d.env.Now())
-		}
 		runs = append(runs, r)
-		byID[r.st.ID] = r
 		for _, c := range sp.Stages {
 			for _, dep := range c.DependsOn {
 				if dep == st.ID {
@@ -564,6 +546,74 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 					break
 				}
 			}
+		}
+	}
+
+	chunks, err := d.schedule(runs, resultStage.ID, epoch, sealTable, cfg, rep)
+	if err != nil {
+		return nil, nil, err
+	}
+	result, err := mergeResults(chunks, resultStage.Plan, sp.Driver)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	// All stages sealed, so no winner is still publishing: drain the
+	// boundary namespace now and let its requests count toward the query.
+	if _, err := exchange.Sweep(driverClient, buckets, prefix); err != nil {
+		return nil, nil, fmt.Errorf("driver: sweeping boundary %s: %w", prefix, err)
+	}
+	swept = true
+
+	rep.Epoch = epoch
+	rep.Stages = len(sp.Stages)
+	for _, r := range runs {
+		ss := StageStat{
+			StageID:    r.st.ID,
+			Workers:    len(r.payloads),
+			Launched:   r.launchedAt - d.start,
+			Sealed:     r.sealedAt - d.start,
+			Speculated: r.speculated,
+			Span:       r.span,
+		}
+		if r.regroup {
+			ss.StageID = r.regroupFor
+			ss.Regroup = true
+		}
+		if r.boundary.Levels > 0 {
+			ss.Variant = r.boundary.String()
+		}
+		rep.StageStats = append(rep.StageStats, ss)
+	}
+	d.finish(rep)
+	return result, rep, nil
+}
+
+// schedule is the driver's one event loop (§3.3: the driver invokes the
+// fleet, then polls the result queue until every worker has reported). It
+// runs every stage of runs to its seal: it launches each stage once it is
+// launchable, consumes seal messages as they arrive, relaunches retryable
+// failure seals, arms per-stage speculation, and — when sealTable is set —
+// writes each stage's DynamoDB ready marker the moment its last worker
+// sealed. Messages of another query or epoch are discarded, and so are
+// duplicate seals of a worker (SQS is at-least-once; backup pairs both
+// answer).
+//
+// A single-scope query is one run with no dependencies and no fence: epoch
+// 0 and no seal table. It returns the outputs of stage resultID decoded in
+// worker order (the arrival order is racy; worker order makes the driver
+// merge deterministic) and fills rep's fleet fields.
+func (d *query) schedule(runs []*stageRun, resultID, epoch int, sealTable string, cfg StageConfig, rep *Report) ([]*columnar.Chunk, error) {
+	tr := d.dep.Trace
+	byID := make(map[int]*stageRun, len(runs))
+	for _, r := range runs {
+		byID[r.st.ID] = r
+		if tr.Enabled() {
+			name := "stage-" + strconv.Itoa(r.st.ID)
+			if r.regroup {
+				name = "regroup-" + strconv.Itoa(r.regroupFor)
+			}
+			r.span = tr.StartSpan(obs.KindStage, name, rep.Span, d.env.Now())
 		}
 	}
 
@@ -611,8 +661,6 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		return depsSealed(r)
 	}
 
-	var invocation time.Duration
-	totalWorkers := 0
 	launch := func(r *stageRun) error {
 		if r.bodies == nil {
 			r.bodies = make([][]byte, len(r.payloads))
@@ -637,18 +685,18 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 			r.launched = len(r.bodies)
 		} else {
 			// Admission-governed partial launch: take tokens one worker at a
-			// time without ever blocking — a driver blocked in Acquire could
-			// not consume the seal messages that token-holding consumers are
+			// time without ever blocking — a blocked driver could not
+			// consume the seal messages that token-holding consumers are
 			// waiting on. Whatever the pool denies stays at the cursor; the
 			// event loop retries every pass as other containers settle.
-			for r.launched < len(r.bodies) && adm.TryAcquire(1) {
+			for r.launched < len(r.bodies) && adm.TryAcquire() {
 				w := r.launched
 				adm.Pace(d.env)
 				if err := d.retry.policy.Do(d.env, "lambda.Invoke", func() error {
 					return d.dep.Lambda.Invoke(d.env, d.cfg.FunctionName, r.bodies[w],
 						lambdasvc.InvokeOptions{WorkerID: r.payloads[w].WorkerID, Pipelined: true, Span: r.span})
 				}); err != nil {
-					adm.Release(d.env, 1)
+					adm.Release(d.env)
 					return err
 				}
 				r.launched++
@@ -657,7 +705,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 				tr.SetStart(r.span, invokeStart)
 			}
 		}
-		invocation += d.env.Now() - invokeStart
+		rep.Invocation += d.env.Now() - invokeStart
 		if !first || r.launched == 0 {
 			return nil
 		}
@@ -672,7 +720,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		if depsSealed(r) {
 			r.policy.armCap(stageCap(r.st, cfg), r.launchedAt)
 		}
-		totalWorkers += len(r.payloads)
+		rep.Workers += len(r.payloads)
 		return nil
 	}
 	launchReady := func() error {
@@ -686,30 +734,24 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		return nil
 	}
 	if err := launchReady(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	// Event loop: consume seal messages as they arrive, write the ready
-	// marker the moment a stage's last worker sealed, launch whatever that
-	// unblocked, and arm per-stage speculation for the rest.
 	type workerResult struct {
 		workerID int
 		chunk    []byte
 	}
 	var results []workerResult
-	var processing []time.Duration
-	cold, speculated := 0, 0
-	failureSeals := 0
 	zombieDiscards, loserDiscards := 0, 0
 	sealedCount := 0
-	backupPacing := invoke.DriverPacing(d.cfg.Region, d.cfg.InvokeThreads)
+	backupPacing := invoke.DriverPacing(d.cfg.Region, 1)
 	deadline := d.env.Now() + d.cfg.MaxWait
 	for sealedCount < len(runs) {
 		if adm != nil {
 			// Resume partial launches: containers of this or other queries
 			// settling since the last pass may have freed tokens.
 			if err := launchReady(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		var msgs []sqs.Message
@@ -718,14 +760,14 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 			msgs, rerr = d.dep.SQS.Receive(d.env, d.cfg.ResultQueue, 10)
 			return rerr
 		}); err != nil {
-			return nil, nil, fmt.Errorf("driver: collecting seals: %w", err)
+			return nil, fmt.Errorf("driver: collecting seals: %w", err)
 		}
 		for _, m := range msgs {
 			var rm resultMsg
 			if err := json.Unmarshal(m.Body, &rm); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			if rm.QueryID != queryID || rm.Epoch != epoch {
+			if rm.QueryID != d.id || rm.Epoch != epoch {
 				// Leftover of an earlier aborted query — including a zombie
 				// worker of an aborted identically-numbered run posting its
 				// seal after this run's purge: its older epoch fences it out.
@@ -757,27 +799,27 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 				}
 				if rm.Retryable && r.policy.attempts[rm.WorkerID] < relaunches {
 					r.policy.attempts[rm.WorkerID]++
-					failureSeals++
+					rep.FailureSeals++
 					backup := r.payloads[rm.WorkerID]
 					backup.Attempt = r.policy.attempts[rm.WorkerID]
 					body, err := json.Marshal(&backup)
 					if err != nil {
-						return nil, nil, err
+						return nil, err
 					}
 					if err := d.invokeOne(body, rm.WorkerID, r.span); err != nil {
-						return nil, nil, fmt.Errorf("driver: relaunching stage %d worker %d: %w", rm.Stage, rm.WorkerID, err)
+						return nil, fmt.Errorf("driver: relaunching stage %d worker %d: %w", rm.Stage, rm.WorkerID, err)
 					}
 					continue
 				}
-				return nil, nil, &StageFailure{QueryID: queryID, Stage: rm.Stage, Worker: rm.WorkerID, Attempt: rm.Attempt, Retryable: rm.Retryable, Msg: rm.Err}
+				return nil, &StageFailure{QueryID: d.id, Stage: rm.Stage, Worker: rm.WorkerID, Attempt: rm.Attempt, Retryable: rm.Retryable, Msg: rm.Err}
 			}
 			r.winners[rm.WorkerID] = rm.Attempt
 			if rm.Cold {
-				cold++
+				rep.ColdWorkers++
 			}
-			processing = append(processing, time.Duration(rm.ProcessingNs))
+			rep.WorkerProcessing = append(rep.WorkerProcessing, time.Duration(rm.ProcessingNs))
 			r.policy.record(d.env.Now())
-			if rm.Stage == resultStage.ID && len(rm.Chunk) > 0 {
+			if rm.Stage == resultID && len(rm.Chunk) > 0 {
 				results = append(results, workerResult{workerID: rm.WorkerID, chunk: rm.Chunk})
 			}
 			if len(r.winners) == len(r.payloads) {
@@ -785,10 +827,12 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 				// Ready: record it in DynamoDB for the consumers' barrier
 				// (the Put broadcasts the completion signal, waking workers
 				// parked in waitSealed at this exact instant).
-				if err := d.retry.policy.Do(d.env, "dynamo.Put", func() error {
-					return d.dep.Dynamo.Put(d.env, sealTable, sealKey(queryID, epoch, r.st.ID), []byte("sealed"))
-				}); err != nil {
-					return nil, nil, err
+				if sealTable != "" {
+					if err := d.retry.policy.Do(d.env, "dynamo.Put", func() error {
+						return d.dep.Dynamo.Put(d.env, sealTable, sealKey(d.id, epoch, r.st.ID), []byte("sealed"))
+					}); err != nil {
+						return nil, err
+					}
 				}
 				r.state = stageSealed
 				r.sealedAt = d.env.Now()
@@ -801,7 +845,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 				}
 				sealedCount++
 				if err := launchReady(); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				// This seal may have made already-launched consumers
 				// runnable: start their liveness-cap clocks now.
@@ -836,15 +880,15 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 			backups := r.policy.stragglers(d.env.Now(), reported, r.st.MaxAttempts)
 			for i, w := range backups {
 				r.speculated++
-				speculated++
+				rep.Speculated++
 				backup := r.payloads[w]
 				backup.Attempt = r.policy.attempts[w]
 				body, err := json.Marshal(&backup)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				if err := d.invokeOne(body, w, r.span); err != nil {
-					return nil, nil, fmt.Errorf("driver: backup invocation of stage %d worker %d: %w", r.st.ID, w, err)
+					return nil, fmt.Errorf("driver: backup invocation of stage %d worker %d: %w", r.st.ID, w, err)
 				}
 				if i < len(backups)-1 {
 					d.env.Sleep(backupPacing.Gap())
@@ -858,7 +902,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 					missing += len(r.payloads) - len(r.winners)
 				}
 			}
-			return nil, nil, fmt.Errorf("driver: %d seal messages missing after %v", missing, d.cfg.MaxWait)
+			return nil, fmt.Errorf("driver: %d seal messages missing after %v", missing, d.cfg.MaxWait)
 		}
 		if len(msgs) == 0 {
 			// Park on the result queue's completion topic: the loop wakes at
@@ -869,83 +913,25 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 			simenv.WaitNotifyKey(d.env, "sqs/"+d.cfg.ResultQueue, d.cfg.PollInterval)
 		}
 	}
+	if tr.Enabled() {
+		if zombieDiscards > 0 {
+			tr.SetTag(rep.Span, "zombieDiscards", strconv.Itoa(zombieDiscards))
+		}
+		if loserDiscards > 0 {
+			tr.SetTag(rep.Span, "loserDiscards", strconv.Itoa(loserDiscards))
+		}
+	}
 
-	// Driver scope: merge the result stage's outputs in worker order (the
-	// arrival order is racy; worker order makes the merge deterministic).
 	sort.Slice(results, func(i, j int) bool { return results[i].workerID < results[j].workerID })
 	var chunks []*columnar.Chunk
 	for _, r := range results {
 		c, err := decodeChunk(r.chunk)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		chunks = append(chunks, c)
 	}
-	rs, err := resultStage.Plan.OutSchema()
-	if err != nil {
-		return nil, nil, err
-	}
-	dcat := engine.Catalog{engine.WorkerResultTable: engine.NewMemSource(rs, chunks...)}
-	result, err := engine.Execute(sp.Driver, dcat)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// All stages sealed, so no winner is still publishing: drain the
-	// boundary namespace now and let its requests count toward the query.
-	if _, err := exchange.Sweep(driverClient, buckets, prefix); err != nil {
-		return nil, nil, fmt.Errorf("driver: sweeping boundary %s: %w", prefix, err)
-	}
-	swept = true
-
-	sort.Slice(processing, func(i, j int) bool { return processing[i] < processing[j] })
-	// Close the cost window only after every invocation — speculation and
-	// relaunch losers included — finished billing, so per-span attribution
-	// and the Report deltas agree exactly (no-op when tracing is off).
-	d.quiesce()
-	endTime := d.env.Now()
-	rep := &Report{
-		QueryID:          queryID,
-		Epoch:            epoch,
-		Workers:          totalWorkers,
-		Stages:           len(sp.Stages),
-		Duration:         endTime - startTime,
-		Invocation:       invocation,
-		WorkerProcessing: processing,
-		ColdWorkers:      cold,
-		Speculated:       speculated,
-		FailureSeals:     failureSeals,
-	}
-	for _, r := range runs {
-		ss := StageStat{
-			StageID:    r.st.ID,
-			Workers:    len(r.payloads),
-			Launched:   r.launchedAt - startTime,
-			Sealed:     r.sealedAt - startTime,
-			Speculated: r.speculated,
-			Span:       r.span,
-		}
-		if r.regroup {
-			ss.StageID = r.regroupFor
-			ss.Regroup = true
-		}
-		if r.boundary.Levels > 0 {
-			ss.Variant = r.boundary.String()
-		}
-		rep.StageStats = append(rep.StageStats, ss)
-	}
-	if tr.Enabled() {
-		if zombieDiscards > 0 {
-			tr.SetTag(qspan, "zombieDiscards", strconv.Itoa(zombieDiscards))
-		}
-		if loserDiscards > 0 {
-			tr.SetTag(qspan, "loserDiscards", strconv.Itoa(loserDiscards))
-		}
-		tr.EndSpan(qspan, endTime)
-		rep.Trace, rep.Span = tr, qspan
-	}
-	d.fillCostDelta(rep, costBefore)
-	return result, rep, nil
+	return chunks, nil
 }
 
 // purgeResults drains every leftover message from the result queue. Called

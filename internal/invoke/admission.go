@@ -8,27 +8,27 @@ import (
 )
 
 // Admission is the deployment-wide invocation budget of a resident session:
-// every query running on the session acquires tokens from one shared pool
-// before invoking workers, so a thousand-worker fleet cannot starve an
+// every query running on the session takes a token from one shared pool
+// for each worker it launches, so a thousand-worker fleet cannot starve an
 // interactive query of invocation capacity — admission replaces the old
 // per-query DriverPacing as the launch governor.
 //
-// Token accounting is exact by construction: the scheduler acquires exactly
-// as many tokens as containers its Invoke call will spawn (one for a direct
-// invocation, 1+len(children) for a tree node — the children are invoked
-// from inside the first-generation worker, past the driver), and every
-// container releases exactly one token when it settles, crash paths
-// included (the Lambda service's completion hook fires wherever its running
-// gauge decrements). In-flight therefore never undercounts actual running
-// containers, and Peak() ≤ Capacity bounds the deployment's true peak
-// concurrency.
+// The driver's scheduler launches every fleet — single-scope or staged —
+// one direct invocation at a time under admission, each after a
+// non-blocking TryAcquire: whatever the pool denies waits in the
+// scheduler's launch cursor while its event loop keeps consuming seal
+// messages. Every container releases exactly one token when it settles,
+// crash paths included (the Lambda service's completion hook fires wherever
+// its running gauge decrements). In-flight therefore never undercounts
+// actual running containers, and Peak() ≤ Capacity bounds the deployment's
+// true peak concurrency in runs without recovery traffic (see
+// AcquireOverflow).
 //
 // Release happens on the worker side of the simulation, not in the driver's
-// event loop: a driver blocked in Acquire is woken by containers finishing
-// on their own, so one query stalling on admission can never deadlock the
-// deployment. Launch order within a query is topological (producers before
-// consumers), so tokens held by workers parked on a ready barrier always
-// have their producers fully launched and making progress.
+// event loop, so containers free capacity on their own. Launch order within
+// a query is topological (producers before consumers), so tokens held by
+// workers parked on a ready barrier always have their producers fully
+// launched and making progress.
 //
 // The controller also owns the shared invocation-rate pacer: the Invoke API
 // rate (Pacing, Table 1) is a deployment-wide resource, so concurrent
@@ -39,7 +39,6 @@ type Admission struct {
 	inFlight int
 	peak     int
 	blocked  uint64
-	oversize uint64
 	overflow uint64
 	acquired uint64
 
@@ -47,18 +46,13 @@ type Admission struct {
 	nextSlot time.Duration
 
 	topic string
-	poll  time.Duration
 }
 
 // NewAdmission returns a controller with the given concurrent-invocation
-// capacity (<= 0 means unlimited: Acquire never blocks, Pace still paces).
-// topic namespaces the release broadcast; poll is the blocked waiter's
-// fallback poll interval.
-func NewAdmission(capacity int, pacing Pacing, topic string, poll time.Duration) *Admission {
-	if poll <= 0 {
-		poll = 25 * time.Millisecond
-	}
-	return &Admission{capacity: capacity, pacing: pacing, topic: "admission/" + topic, poll: poll}
+// capacity (<= 0 means unlimited: TryAcquire always succeeds, Pace still
+// paces). topic namespaces the release broadcast.
+func NewAdmission(capacity int, pacing Pacing, topic string) *Admission {
+	return &Admission{capacity: capacity, pacing: pacing, topic: "admission/" + topic}
 }
 
 // Capacity returns the configured token capacity (<= 0 = unlimited).
@@ -69,64 +63,22 @@ func (a *Admission) Capacity() int {
 	return a.capacity
 }
 
-// Acquire blocks until n tokens are available and takes them. A request
-// larger than the whole capacity is admitted once the pool is empty — a
-// fleet bigger than the budget still launches, alone — and counted in
-// Oversized; size the capacity above the largest single Invoke's token
-// need (tree nodes need 1+children) to keep Peak() ≤ Capacity strict.
-// Nil receivers and unlimited controllers return immediately.
-func (a *Admission) Acquire(env simenv.Env, n int) {
-	if a == nil || a.capacity <= 0 || n <= 0 {
-		return
-	}
-	waited := false
-	for {
-		a.mu.Lock()
-		if a.inFlight+n <= a.capacity || (n > a.capacity && a.inFlight == 0) {
-			if n > a.capacity {
-				a.oversize++
-			}
-			a.inFlight += n
-			a.acquired += uint64(n)
-			if a.inFlight > a.peak {
-				a.peak = a.inFlight
-			}
-			a.mu.Unlock()
-			return
-		}
-		if !waited {
-			a.blocked++
-			waited = true
-		}
-		a.mu.Unlock()
-		// Park on the release broadcast; the timed poll is the fallback for
-		// environments without a keyed notifier.
-		simenv.WaitNotifyKey(env, a.topic, a.poll)
-	}
-}
-
-// TryAcquire takes n tokens if they are available right now and reports
-// whether it did. The staged scheduler launches fleets with TryAcquire
-// instead of a blocking Acquire: when the pool is dry it launches a partial
-// fleet and returns to its event loop, so the driver keeps consuming seal
-// messages — a driver blocked in Acquire could never write the seal marker
-// that the token-holding consumers parked on a ready barrier are waiting
-// for. Nil and unlimited controllers always succeed.
-func (a *Admission) TryAcquire(n int) bool {
-	if a == nil || a.capacity <= 0 || n <= 0 {
+// TryAcquire takes one token if one is available right now and reports
+// whether it did. It never blocks: a driver blocked on admission could not
+// consume the seal messages that token-holding consumers parked on a ready
+// barrier are waiting for. Nil and unlimited controllers always succeed.
+func (a *Admission) TryAcquire() bool {
+	if a == nil || a.capacity <= 0 {
 		return true
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.inFlight+n > a.capacity && !(n > a.capacity && a.inFlight == 0) {
+	if a.inFlight >= a.capacity {
 		a.blocked++
 		return false
 	}
-	if n > a.capacity {
-		a.oversize++
-	}
-	a.inFlight += n
-	a.acquired += uint64(n)
+	a.inFlight++
+	a.acquired++
 	if a.inFlight > a.peak {
 		a.peak = a.inFlight
 	}
@@ -154,16 +106,16 @@ func (a *Admission) AcquireOverflow(env simenv.Env) {
 	a.mu.Unlock()
 }
 
-// Release returns n tokens and wakes blocked acquirers. The Lambda
-// service's completion hook calls it with n=1 as each container settles.
-func (a *Admission) Release(env simenv.Env, n int) {
-	if a == nil || a.capacity <= 0 || n <= 0 {
+// Release returns one token. The Lambda service's completion hook calls it
+// as each container settles; the broadcast on the controller's topic wakes
+// wildcard waiters, such as the driver's traced quiesce, at that instant.
+func (a *Admission) Release(env simenv.Env) {
+	if a == nil || a.capacity <= 0 {
 		return
 	}
 	a.mu.Lock()
-	a.inFlight -= n
-	if a.inFlight < 0 {
-		a.inFlight = 0
+	if a.inFlight > 0 {
+		a.inFlight--
 	}
 	a.mu.Unlock()
 	simenv.BroadcastKey(env, a.topic)
@@ -172,7 +124,7 @@ func (a *Admission) Release(env simenv.Env, n int) {
 // Pace charges one Invoke API slot against the shared rate pacer, sleeping
 // the caller until its slot: concurrent queries interleave at the
 // deployment's effective invocation rate instead of each assuming the full
-// rate. Nil receivers are no-ops (legacy per-query pacing applies then).
+// rate. Nil receivers are no-ops (per-query pacing applies then).
 func (a *Admission) Pace(env simenv.Env) {
 	if a == nil {
 		return
@@ -213,7 +165,7 @@ func (a *Admission) Peak() int {
 	return a.peak
 }
 
-// Blocked counts Acquire calls that had to wait for capacity.
+// Blocked counts TryAcquire calls denied for lack of capacity.
 func (a *Admission) Blocked() uint64 {
 	if a == nil {
 		return 0
@@ -221,17 +173,6 @@ func (a *Admission) Blocked() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.blocked
-}
-
-// Oversized counts Acquire calls whose token need exceeded the whole
-// capacity and were admitted alone.
-func (a *Admission) Oversized() uint64 {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.oversize
 }
 
 // Overflow counts tokens taken past capacity by AcquireOverflow (recovery
