@@ -1,11 +1,10 @@
 GO ?= go
 # bench-json knobs: the PR-numbered output file, the previous PR's file the
 # comparability check runs against, and the per-benchmark time.
-# The default output starts the num_cpu=2 series. Every earlier BENCH file
-# ran on one CPU and can never be its baseline, so the default baseline is
-# empty (no comparability check) until the series has a second point.
-BENCH_JSON ?= BENCH_PR14.json
-BENCH_BASELINE ?=
+# BENCH_PR14.json started the num_cpu=2 series; every earlier BENCH file
+# ran on one CPU and can never be a baseline of this one.
+BENCH_JSON ?= BENCH_PR16.json
+BENCH_BASELINE ?= BENCH_PR14.json
 BENCHTIME ?= 300ms
 # trace-smoke output file (Chrome trace-event JSON; also the CI artifact).
 TRACE_OUT ?= trace-smoke.json
@@ -72,7 +71,8 @@ bench:
 bench-json:
 	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) -baseline=$(BENCH_BASELINE) \
 		-require-same-cpu -benchtime $(BENCHTIME) \
-		./internal/engine ./internal/scan ./internal/lpq ./internal/exchange ./internal/driver
+		./internal/engine ./internal/scan ./internal/lpq ./internal/exchange ./internal/driver \
+		./internal/simclock ./internal/s3fs
 
 # bench-quick builds the repository benchmark (perfbench, a module of its
 # own) from this checkout and runs every workload at a fifth of the data;

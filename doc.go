@@ -15,7 +15,10 @@
 //	    files concurrently (scan.Config.ParallelFiles) and the engine runs
 //	    every plan on a pipeline-graph scheduler at N morsel workers
 //	    (engine.ExecuteParallel, driver.Config.PipelineParallelism);
-//	(4) metadata of all files prefetched eagerly in a dedicated thread;
+//	(4) metadata of all files prefetched eagerly: scan.Source.WarmOpen
+//	    opens every footer 32 at a time in both clocks (on DES child
+//	    processes under the kernel), and scan.Config.MetaPrefetch overlaps
+//	    a scan's remaining footers with its data in a dedicated thread;
 //	(3) row groups double-buffered: download overlaps decompression;
 //	(2) column chunks of a row group fetched in parallel;
 //	(1) multiple chunked requests per read, only as a fallback, since
@@ -88,8 +91,10 @@
 // sequence order, collect sinks reassemble morsels in sequence order, and
 // the limit sink takes the first N rows in sequence order — outputs are
 // byte-identical to serial execution. In discrete-event-simulated
-// deployments all levels are forced off (worker code must not spawn
-// goroutines); the bandwidth shaper models their timing effect instead.
+// deployments the scan and engine levels are forced off (worker code must
+// not spawn goroutines); the bandwidth shaper models their timing effect
+// instead. Footer warming is the exception: its fan-out runs on DES child
+// processes (s3.Client.Fan), so it overlaps under the kernel too.
 //
 // # Stage planner and exchange data flow
 //

@@ -132,13 +132,20 @@ func (m *CostMeter) ChargeN(label string, n int64, amount USD) {
 	m.mu.Unlock()
 }
 
-// Total returns the sum over all labels.
+// Total returns the sum over all labels, added in sorted label order:
+// floating-point addition is not associative, and map order would let
+// equal meters total differently in the last bit.
 func (m *CostMeter) Total() USD {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	labels := make([]string, 0, len(m.byLabel))
+	for l := range m.byLabel {
+		labels = append(labels, l)
+	}
+	sort.Strings(labels)
 	var t USD
-	for _, v := range m.byLabel {
-		t += v
+	for _, l := range labels {
+		t += m.byLabel[l]
 	}
 	return t
 }

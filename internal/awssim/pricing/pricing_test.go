@@ -120,3 +120,24 @@ func TestLabelsSorted(t *testing.T) {
 		t.Errorf("labels = %v", ls)
 	}
 }
+
+// TestTotalOrderIndependent: the labels below sum to 1 in some orders and
+// to a different value in others (1 vanishes next to 1e16), so a total
+// taken in map order would differ from call to call. Total must add in
+// sorted label order every time.
+func TestTotalOrderIndependent(t *testing.T) {
+	m := NewCostMeter()
+	vals := map[string]USD{"a": 1e16, "b": 1, "c": -1e16, "d": 1, "e": 0.5, "f": 1e16}
+	for l, v := range vals {
+		m.Charge(l, v)
+	}
+	var want USD
+	for _, l := range m.Labels() {
+		want += vals[l]
+	}
+	for i := 0; i < 200; i++ {
+		if got := m.Total(); got != want {
+			t.Fatalf("call %d: Total = %v, want %v (sorted-order sum)", i, float64(got), float64(want))
+		}
+	}
+}

@@ -59,16 +59,23 @@ type Client struct {
 	// across all operations (per-invocation scope).
 	budget *resilience.Budget
 
-	mu         sync.Mutex
-	bytesRead  int64
-	bytesWrite int64
-	retries    int64
+	*counters
 
 	// trace wraps every public operation in an op span (inherited from the
 	// service's tracer at construction; nil = off). Op spans are created
 	// only inside an already-bound span context (a query or invocation),
 	// so setup traffic stays untraced.
 	trace *obs.Tracer
+}
+
+// counters are a client's byte and retry totals plus the lock that also
+// guards its shaper. Fan's task clients share their parent's, so requests
+// issued in a fan-out count toward the client that fanned out.
+type counters struct {
+	mu         sync.Mutex
+	bytesRead  int64
+	bytesWrite int64
+	retries    int64
 }
 
 // ClientOption customizes a Client.
@@ -105,6 +112,7 @@ func NewClient(svc *Service, env simenv.Env, opts ...ClientOption) *Client {
 		env:            env,
 		RetryBaseDelay: 25 * time.Millisecond,
 		MaxRetries:     10,
+		counters:       &counters{},
 		trace:          svc.trace,
 	}
 	for _, o := range opts {

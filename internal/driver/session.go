@@ -86,7 +86,9 @@ func NewSession(dep *Deployment, cfg Config) *Session {
 	}
 	if dep.Deterministic {
 		// DES processes must stay single-threaded; the shaper models the
-		// timing effect of scan concurrency instead.
+		// timing effect of scan concurrency instead. Driver-side footer
+		// opens still overlap: scan.Source.WarmOpen fans them out on
+		// child processes, at a width that ignores these knobs.
 		cfg.Scan.DoubleBuffer = false
 		cfg.Scan.ParallelColumns = false
 		cfg.Scan.MetaPrefetch = false

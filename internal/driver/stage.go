@@ -326,15 +326,26 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 	defer d.release()
 
 	// Resolve every table's schema from its lpq footers — driver-side
-	// metadata reads only.
+	// metadata reads only. Each table's footers are opened in one
+	// overlapped wave (WarmOpen) before anything reads them; tables go in
+	// name order so a DES run's waves, and their latencies, replay.
 	driverClient := s3.NewClient(d.dep.S3, d.env)
 	optCat := engine.Catalog{}
 	srcs := map[string]*scan.Source{}
-	for name, files := range tables {
+	names := make([]string, 0, len(tables))
+	for name := range tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		files := tables[name]
 		if len(files) == 0 {
 			return nil, nil, fmt.Errorf("driver: table %q has no files", name)
 		}
 		src := scan.New(driverClient, d.cfg.Scan, files...)
+		if err := src.WarmOpen(); err != nil {
+			return nil, nil, fmt.Errorf("driver: opening %q footers: %w", name, err)
+		}
 		schema, err := src.Schema()
 		if err != nil {
 			return nil, nil, fmt.Errorf("driver: resolving %q schema: %w", name, err)

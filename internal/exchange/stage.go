@@ -427,29 +427,39 @@ func RegroupStage(client *s3.Client, opts Options, b Boundary, group int, keys [
 // Sweep is the stale-drain collector: it deletes every object under prefix
 // in the given buckets — winner files whose consumers have collected and
 // loser files of aborted or outpaced speculative attempts alike — and
-// returns how many objects it removed. Deletes are batched per bucket
-// through the DeleteObjects API (one round trip per 1000 keys). The driver
-// runs it before a query (clearing leftovers of an identically-named
-// aborted run, every epoch included) and after (reclaiming the boundary
-// namespace).
+// returns how many objects it removed. Buckets are swept concurrently
+// (s3.Client.Fan), each with one List and its deletes batched through the
+// DeleteObjects API (one round trip per 1000 keys). A failed bucket does
+// not stop the others: the count sums the buckets whose deletes went
+// through, and the error is the first in bucket order.
+// The driver runs it before a query (clearing leftovers of an
+// identically-named aborted run, every epoch included) and after
+// (reclaiming the boundary namespace).
 func Sweep(client *s3.Client, buckets []string, prefix string) (int, error) {
-	removed := 0
-	for _, b := range buckets {
-		entries, err := client.List(b, prefix)
-		if err != nil {
-			return removed, err
-		}
-		if len(entries) == 0 {
-			continue
+	removed := make([]int, len(buckets))
+	errs := make([]error, len(buckets))
+	client.Fan(len(buckets), len(buckets), func(i int, c *s3.Client) {
+		entries, err := c.List(buckets[i], prefix)
+		if err != nil || len(entries) == 0 {
+			errs[i] = err
+			return
 		}
 		keys := make([]string, len(entries))
-		for i, e := range entries {
-			keys[i] = e.Key
+		for j, e := range entries {
+			keys[j] = e.Key
 		}
-		if err := client.DeleteBatch(b, keys); err != nil {
-			return removed, err
+		if errs[i] = c.DeleteBatch(buckets[i], keys); errs[i] == nil {
+			removed[i] = len(keys)
 		}
-		removed += len(keys)
+	})
+	total := 0
+	for _, n := range removed {
+		total += n
 	}
-	return removed, nil
+	for _, err := range errs {
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
 }

@@ -196,14 +196,19 @@ func (t *Tracer) Bind(env any, id SpanID) {
 	t.binds[env] = append(t.binds[env], id)
 }
 
-// Pop removes the innermost span bound to env.
+// Pop removes the innermost span bound to env; popping the last one
+// forgets env, so short-lived environments leave nothing behind.
 func (t *Tracer) Pop(env any) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if st := t.binds[env]; len(st) > 0 {
+	switch st := t.binds[env]; len(st) {
+	case 0:
+	case 1:
+		delete(t.binds, env)
+	default:
 		t.binds[env] = st[:len(st)-1]
 	}
 }

@@ -77,6 +77,27 @@ func TestChargeToInnermostBoundSpan(t *testing.T) {
 	}
 }
 
+// TestPopForgetsEmptyEnv: popping an environment's last span drops the
+// environment, so short-lived environments (fan-out tasks, one per
+// request) leave no entry behind in a long-lived tracer.
+func TestPopForgetsEmptyEnv(t *testing.T) {
+	tr := New()
+	root := tr.StartSpan(KindQuery, "q1", 0, 0)
+	for i := 0; i < 100; i++ {
+		env := new(int)
+		tr.Bind(env, root)
+		tr.Bind(env, root)
+		tr.Pop(env)
+		if tr.Current(env) != root {
+			t.Fatal("Pop removed more than the innermost span")
+		}
+		tr.Pop(env)
+	}
+	if n := len(tr.binds); n != 0 {
+		t.Errorf("%d environments still tracked after every stack was popped empty", n)
+	}
+}
+
 // TestSubtreeCost sums a span and its descendants only.
 func TestSubtreeCost(t *testing.T) {
 	tr := New()

@@ -60,6 +60,11 @@ func NewFile(client *s3.Client, bucket, key string, size int64) *File {
 	}
 }
 
+// SetClient rebinds the handle's later reads to client — how a handle
+// opened by a short-lived fan-out task passes to its long-lived owner.
+// Call it before the handle is shared.
+func (f *File) SetClient(client *s3.Client) { f.client = client }
+
 // Size returns the object size.
 func (f *File) Size() int64 { return f.size }
 

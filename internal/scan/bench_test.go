@@ -3,11 +3,13 @@ package scan
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
 	"lambada/internal/lpq"
+	"lambada/internal/simclock"
 	"lambada/internal/tpch"
 )
 
@@ -59,4 +61,39 @@ func BenchmarkParallelScan(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkWarmOpenDES measures the driver's footer wave on the DES kernel:
+// TotalRows over 32 files behind the paper's S3 GET latency (no rate
+// limit: every iteration restarts virtual time at zero), every open on a
+// fan-out child process. vms/op is the wave's virtual latency; ns/op is
+// what simulating it costs.
+func BenchmarkWarmOpenDES(b *testing.B) {
+	svc := s3.New(s3.Config{GetLatency: s3.DefaultAWSConfig(nil, 1).GetLatency, Seed: 1})
+	svc.MustCreateBucket("data")
+	data := tpch.Gen{SF: 0.002, Seed: 9}.Generate()
+	var refs []FileRef
+	for i, part := range tpch.SplitFiles(data, 32) {
+		raw, err := lpq.WriteFile(tpch.Schema(), lpq.WriterOptions{}, part)
+		if err != nil {
+			b.Fatal(err)
+		}
+		key := fmt.Sprintf("lineitem/part-%03d.lpq", i)
+		if err := svc.Put(simenv.NewImmediate(), "data", key, raw); err != nil {
+			b.Fatal(err)
+		}
+		refs = append(refs, FileRef{Bucket: "data", Key: key})
+	}
+	var virtual time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := simclock.New()
+		k.Go("driver", func(p *simclock.Proc) {
+			if _, err := New(s3.NewClient(svc, p), Config{}, refs...).TotalRows(); err != nil {
+				b.Error(err)
+			}
+		})
+		virtual += k.Run()
+	}
+	b.ReportMetric(float64(virtual)/float64(b.N)/1e6, "vms/op")
 }

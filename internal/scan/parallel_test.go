@@ -5,12 +5,15 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
 	"lambada/internal/lpq"
+	"lambada/internal/netmodel"
+	"lambada/internal/simclock"
 	"lambada/internal/tpch"
 )
 
@@ -201,5 +204,53 @@ func TestOpenSingleflight(t *testing.T) {
 	}
 	if _, err := bad.Schema(); err != nil {
 		t.Errorf("retry after failed open: %v", err)
+	}
+}
+
+// TestWarmOpenOverlapsUnderDES: on the DES kernel with a constant 10 ms
+// S3 latency, TotalRows over 32 files opens every footer in one overlapped
+// Head + GetRange round trip (20 ms, not 32 × 20 ms), bills the same 64
+// reads a serial open does, and hands back handles that read through the
+// source's own client: a later Scan from the caller's process completes
+// without touching the finished fan-out processes.
+func TestWarmOpenOverlapsUnderDES(t *testing.T) {
+	meter := pricing.NewCostMeter()
+	svc := s3.New(s3.Config{Meter: meter, GetLatency: netmodel.Constant(10 * time.Millisecond)})
+	refs, data := uploadLineitem(t, svc, 0.002, 32, lpq.None)
+
+	k := simclock.New()
+	var (
+		rows, scanned, warmReads int64
+		warmAt                   time.Duration
+		scanErr                  error
+	)
+	k.Go("driver", func(p *simclock.Proc) {
+		src := New(s3.NewClient(svc, p), Config{}, refs...)
+		var err error
+		if rows, err = src.TotalRows(); err != nil {
+			t.Error(err)
+			return
+		}
+		warmAt, warmReads = p.Now(), meter.Count(pricing.LabelS3Read)
+		scanErr = src.Scan([]string{"l_orderkey"}, nil, func(c *columnar.Chunk) error {
+			scanned += int64(c.NumRows())
+			return nil
+		})
+	})
+	k.Run()
+	if k.Deadlocked() {
+		t.Fatal("kernel deadlocked: a handle read through a finished fan-out process")
+	}
+	if warmAt != 20*time.Millisecond {
+		t.Errorf("TotalRows took %v, want 20ms (one overlapped Head + GetRange)", warmAt)
+	}
+	if rows != int64(data.NumRows()) {
+		t.Errorf("TotalRows = %d, want %d", rows, data.NumRows())
+	}
+	if warmReads != 64 {
+		t.Errorf("footer reads billed = %d, want 64", warmReads)
+	}
+	if scanErr != nil || scanned != int64(data.NumRows()) {
+		t.Errorf("scan after warm: %d rows, %v; want %d", scanned, scanErr, data.NumRows())
 	}
 }

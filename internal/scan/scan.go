@@ -6,7 +6,11 @@
 //	(5) multiple lpq files scanned concurrently by a bounded worker pool
 //	    (Config.ParallelFiles), chunks delivered in file order through
 //	    per-file channels so the yield order matches the serial scan;
-//	(4) metadata of all files prefetched eagerly in a dedicated thread;
+//	(4) metadata of all files prefetched eagerly: WarmOpen opens every
+//	    footer footerWidth at a time through s3.Client.Fan (on DES child
+//	    processes under the kernel, so it overlaps in both clocks), and
+//	    Config.MetaPrefetch overlaps a scan's remaining footers with its
+//	    data in a dedicated thread;
 //	(3) up to two row groups downloaded asynchronously (double buffering),
 //	    overlapping download with decompression of the previous group;
 //	(2) column chunks of small/single-row-group files fetched in parallel;
@@ -41,10 +45,13 @@ type Config struct {
 	DoubleBuffer bool
 	// ParallelColumns enables concurrent column-chunk downloads (level 2).
 	ParallelColumns bool
-	// MetaPrefetch fetches all files' footers eagerly (level 4).
+	// MetaPrefetch fetches the remaining files' footers eagerly while a
+	// scan reads the first file's data (level 4).
 	MetaPrefetch bool
 	// ParallelFiles bounds how many files are scanned concurrently
 	// (level 5). 0 or 1 scans serially; DefaultConfig uses GOMAXPROCS.
+	// It governs data scanning only: WarmOpen's footer fan-out has a
+	// fixed width of its own.
 	// Chunk delivery order is unaffected: chunks surface in file order,
 	// row groups in order within each file, exactly as a serial scan.
 	ParallelFiles int
@@ -183,6 +190,12 @@ func (s *Source) Stats() Stats {
 // the same file block on one in-flight fetch instead of issuing duplicates;
 // a failed open is forgotten so a later caller can retry.
 func (s *Source) open(f FileRef) (*lpq.Reader, *s3fs.File, error) {
+	return s.openVia(s.Client, f)
+}
+
+// openVia is open with the footer requests issued through client (a Fan
+// task's client); the handle it caches reads through s.Client afterwards.
+func (s *Source) openVia(client *s3.Client, f FileRef) (*lpq.Reader, *s3fs.File, error) {
 	id := f.Bucket + "/" + f.Key
 	s.mu.Lock()
 	st, ok := s.opens[id]
@@ -193,7 +206,7 @@ func (s *Source) open(f FileRef) (*lpq.Reader, *s3fs.File, error) {
 	s.mu.Unlock()
 
 	st.once.Do(func() {
-		h, err := s3fs.Open(s.Client, f.Bucket, f.Key)
+		h, err := s3fs.Open(client, f.Bucket, f.Key)
 		if err != nil {
 			st.err = err
 		} else {
@@ -203,6 +216,7 @@ func (s *Source) open(f FileRef) (*lpq.Reader, *s3fs.File, error) {
 			if err != nil {
 				st.err = fmt.Errorf("scan: opening %s: %w", id, err)
 			} else {
+				h.SetClient(s.Client)
 				st.r, st.h = r, h
 			}
 		}
@@ -232,10 +246,9 @@ func (s *Source) Schema() (*columnar.Schema, error) {
 // TotalRows sums the row counts recorded in every file's footer — the
 // planner's cardinality statistic (a metadata-only read: footers are a few
 // hundred bytes, no column data is transferred). The stage planner decides
-// broadcast-vs-shuffle per join from these counts. Footer opens run up to
-// Cfg.ParallelFiles at a time (this sits on the driver's plan-time critical
-// path; DES deployments force the knob to 1 and stay single-threaded), and
-// opens are cached, so a later Scan pays no second round trip.
+// broadcast-vs-shuffle per join from these counts. It warms every footer
+// first (WarmOpen), and opens are cached, so a later Scan pays no second
+// round trip.
 func (s *Source) TotalRows() (int64, error) {
 	return s.sumFooters(func(m *lpq.FileMeta) int64 { return m.TotalRows })
 }
@@ -259,11 +272,10 @@ func (s *Source) EstimateFileRows(f FileRef, preds []lpq.Predicate) (int64, erro
 	return lpq.EstimateRows(r.Meta(), preds), nil
 }
 
-// sumFooters warms every file's footer (in parallel up to ParallelFiles;
-// opens are cached, so a later Scan pays no second round trip) and sums fn
-// over the metadata.
+// sumFooters warms every file's footer (WarmOpen) and sums fn over the
+// metadata.
 func (s *Source) sumFooters(fn func(*lpq.FileMeta) int64) (int64, error) {
-	if err := s.warmOpen(); err != nil {
+	if err := s.WarmOpen(); err != nil {
 		return 0, err
 	}
 	var total int64
@@ -277,24 +289,36 @@ func (s *Source) sumFooters(fn func(*lpq.FileMeta) int64) (int64, error) {
 	return total, nil
 }
 
-// warmOpen opens all files' footers, up to Cfg.ParallelFiles at a time.
-func (s *Source) warmOpen() error {
-	if s.Cfg.ParallelFiles <= 1 || len(s.Files) <= 1 {
-		return nil
+// footerWidth is how many footer opens WarmOpen keeps in flight. A driver
+// prefetching metadata issues these tiny GETs concurrently (level 4); 32
+// covers the input of every benchmark workload (32 files per table) in
+// one round trip, and wider sweeps measure no lower latency. It is fixed,
+// not GOMAXPROCS-derived, so a DES run times the same on every machine.
+const footerWidth = 32
+
+// WarmOpen opens the footers of every file not yet opened, footerWidth at
+// a time, through the client's fan-out: under the DES kernel each open
+// runs in a child process of the caller's, so the round trips overlap in
+// virtual time. Each distinct file gets one task (two DES tasks blocking
+// on one singleflight slot would stall the kernel). Opens are cached; the
+// handles read through s.Client afterwards. It returns the first error in
+// file order.
+func (s *Source) WarmOpen() error {
+	var todo []FileRef
+	seen := map[string]bool{}
+	s.mu.Lock()
+	for _, f := range s.Files {
+		id := f.Bucket + "/" + f.Key
+		if _, ok := s.opens[id]; !ok && !seen[id] {
+			seen[id] = true
+			todo = append(todo, f)
+		}
 	}
-	sem := make(chan struct{}, s.Cfg.ParallelFiles)
-	errs := make([]error, len(s.Files))
-	var wg sync.WaitGroup
-	for i, f := range s.Files {
-		wg.Add(1)
-		go func(i int, f FileRef) {
-			defer wg.Done()
-			sem <- struct{}{}
-			_, _, errs[i] = s.open(f)
-			<-sem
-		}(i, f)
-	}
-	wg.Wait()
+	s.mu.Unlock()
+	errs := make([]error, len(todo))
+	s.Client.Fan(len(todo), footerWidth, func(i int, c *s3.Client) {
+		_, _, errs[i] = s.openVia(c, todo[i])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
